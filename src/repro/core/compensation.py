@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.relational.expressions import Query
+from repro.relational.expressions import Query, Term
 from repro.relational.views import View
 from repro.source.updates import Update
 
@@ -53,11 +53,11 @@ def batch_delta_query(view: View, updates: Sequence[Update]) -> Query:
     (they cannot affect the view *or* the backdating of updates that do).
     """
     relevant: List[Update] = [u for u in updates if view.involves(u.relation)]
-    total = Query()
+    terms: List[Term] = []
     for index, update in enumerate(relevant):
         base = view.substitute(update.relation, update.signed_tuple())
-        total = total + backdate(base, relevant[index + 1 :])
-    return total
+        terms.extend(backdate(base, relevant[index + 1 :]).terms)
+    return Query(terms)
 
 
 def pending_compensation(query: Query, updates: Sequence[Update]) -> Query:
@@ -90,18 +90,16 @@ def staged_compensation(
     ``seen_count == len(batch)`` this is exactly
     :func:`pending_compensation`'s ``D(Q, batch) - Q``.
     """
-    total = Query()
+    terms: List[Term] = []
     for index in range(min(seen_count, len(batch))):
         update = batch[index]
         if not _touches(query, update):
             continue
         substituted = query.substitute(update.relation, update.signed_tuple())
         remaining = [u for u in batch[index + 1 :] if _touches(substituted, u)]
-        total = total - backdate(substituted, remaining)
-    return total
+        terms.extend(term.negate() for term in backdate(substituted, remaining).terms)
+    return Query(terms)
 
 
 def _touches(query: Query, update: Update) -> bool:
-    return any(
-        update.relation in term.source_relation_names for term in query.terms
-    )
+    return any(update.relation in term.shape.occurrences for term in query.terms)

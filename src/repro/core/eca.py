@@ -72,10 +72,11 @@ class ECA(WarehouseAlgorithm):
             return []
         update = notification.update
         signed = update.signed_tuple()
-        query = self.view.substitute(update.relation, signed)
+        terms = list(self.view.substitute(update.relation, signed).terms)
         for pending in self.uqs_queries():
-            query = query - pending.substitute(update.relation, signed)
-        return self._dispatch(query)
+            compensating = pending.substitute(update.relation, signed)
+            terms.extend(term.negate() for term in compensating.terms)
+        return self._dispatch(Query(terms))
 
     def handle_update_batch(self, batch: UpdateBatch) -> List[QueryRequest]:
         """The k-update generalization: one ``Q<U1,...,Uk>`` per batch.
@@ -91,10 +92,10 @@ class ECA(WarehouseAlgorithm):
         ]
         if not updates:
             return []
-        query = batch_delta_query(self.view, updates)
+        terms = list(batch_delta_query(self.view, updates).terms)
         for pending in self.uqs_queries():
-            query = query + pending_compensation(pending, updates)
-        return self._dispatch(query)
+            terms.extend(pending_compensation(pending, updates).terms)
+        return self._dispatch(Query(terms))
 
     def _dispatch(self, query: Query) -> List[QueryRequest]:
         """Evaluate fully-bound terms locally; ship the rest to the source."""

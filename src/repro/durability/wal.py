@@ -279,7 +279,7 @@ class WriteAheadLog:
             handle.flush()
             if self.fsync:
                 os.fsync(handle.fileno())
-        os.replace(temp, final)
+        self._replace(temp, final)
         self._compact(lsn)
         self._prune_snapshots()
         self._since_snapshot = 0
@@ -321,7 +321,21 @@ class WriteAheadLog:
             handle.flush()
             if self.fsync:
                 os.fsync(handle.fileno())
-        os.replace(temp, self._path)
+        self._replace(temp, self._path)
+
+    def _replace(self, temp: str, final: str) -> None:
+        """Rename ``temp`` over ``final``; with ``fsync``, durably.
+
+        A rename lives in the directory, not in either file, so only an
+        fsync of the directory makes it survive a power loss.
+        """
+        os.replace(temp, final)
+        if self.fsync:
+            directory = os.open(self.directory, os.O_RDONLY)
+            try:
+                os.fsync(directory)
+            finally:
+                os.close(directory)
 
     def _prune_snapshots(self) -> None:
         lsns = _snapshot_lsns(self.directory)

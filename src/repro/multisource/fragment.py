@@ -115,10 +115,8 @@ class FragmentPlan:
             if operand.is_bound:
                 sign *= operand.tuple.sign
 
-        predicate = self.term.condition.bind(self.term.product)
-        positions = tuple(
-            self.term.product.resolve(name) for name in self.term.projection
-        )
+        predicate = self.term.shape.predicate()
+        positions = self.term.shape.positions
         # Per source, the offset of each covered operand's columns within
         # that source's fragment rows.
         layout: Dict[str, Dict[int, int]] = {}

@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Mapping, Tuple
 
 from repro.errors import ExpressionError
 from repro.relational.bag import SignedBag
-from repro.relational.batch_ops import batch_join, compile_mask
+from repro.relational.batch_ops import MaskFn, batch_join, compile_mask
 from repro.relational.columns import ColumnBatch
 from repro.relational.conditions import (
     Attr,
@@ -42,6 +42,7 @@ from repro.relational.conditions import (
     flatten_conjuncts,
 )
 from repro.relational.expressions import Query, Term
+from repro.relational.schema import ProductSchema
 
 Row = Tuple[object, ...]
 State = Mapping[str, SignedBag]
@@ -49,13 +50,15 @@ State = Mapping[str, SignedBag]
 #: One join step of a term plan: the conjuncts to filter by once the step's
 #: operand is joined in, and the (prefix position, local position) key pairs.
 _Step = Tuple[List[Condition], List[Tuple[int, int]]]
+#: A term plan: its join steps, and each step's compiled filter masks.
+_Plan = Tuple[List[_Step], List[List[MaskFn]]]
 
 
-def _max_position(conjunct: Condition, term: Term) -> int:
+def _max_position(conjunct: Condition, product: ProductSchema) -> int:
     """Largest product-row position the conjunct reads (-1 if none)."""
     highest = -1
     for name in conjunct.attributes():
-        highest = max(highest, term.product.resolve(name))
+        highest = max(highest, product.resolve(name))
     return highest
 
 
@@ -74,7 +77,25 @@ def _operand_batch(operand, state: State) -> ColumnBatch:
     return ColumnBatch.from_bag(bag, operand.schema.arity)
 
 
-def _term_plan(term: Term) -> Tuple[List[_Step], List[int]]:
+def _term_plan(term: Term) -> _Plan:
+    """The term's join plan, compiled on first use and kept on its shape.
+
+    The plan depends only on the operand schemas and the condition, so
+    every term sharing a :class:`~repro.relational.expressions.TermShape`
+    shares it.
+    """
+    shape = term.shape
+    if shape.plan is None:
+        steps = _plan_steps(shape.product, shape.condition)
+        masks: List[List[MaskFn]] = []
+        for filters, _ in steps:
+            compiled = (compile_mask(c, shape.product.resolve) for c in filters)
+            masks.append([mask for mask in compiled if mask is not None])
+        shape.plan = (steps, masks)
+    return shape.plan  # type: ignore[return-value]
+
+
+def _plan_steps(product: ProductSchema, condition: Condition) -> List[_Step]:
     """Assign conjuncts to join steps and classify hash-join keys.
 
     Step ``i`` covers product positions ``[0, widths[i])``; each conjunct
@@ -84,14 +105,14 @@ def _term_plan(term: Term) -> Tuple[List[_Step], List[int]]:
     """
     offsets: List[int] = []
     offset = 0
-    for operand in term.operands:
+    for schema in product.schemas:
         offsets.append(offset)
-        offset += operand.schema.arity
+        offset += schema.arity
     widths = offsets[1:] + [offset]
 
-    steps: List[_Step] = [([], []) for _ in term.operands]
-    for conjunct in flatten_conjuncts(term.condition):
-        highest = _max_position(conjunct, term)
+    steps: List[_Step] = [([], []) for _ in product.schemas]
+    for conjunct in flatten_conjuncts(condition):
+        highest = _max_position(conjunct, product)
         step = 0
         while widths[step] <= highest:
             step += 1
@@ -103,8 +124,8 @@ def _term_plan(term: Term) -> Tuple[List[_Step], List[int]]:
             and isinstance(conjunct.right, Attr)
         )
         if is_bridge_equality:
-            left = term.product.resolve(conjunct.left.name)
-            right = term.product.resolve(conjunct.right.name)
+            left = product.resolve(conjunct.left.name)
+            right = product.resolve(conjunct.right.name)
             prefix_width = widths[step - 1]
             sides = sorted((left, right))
             if sides[0] < prefix_width <= sides[1]:
@@ -113,35 +134,28 @@ def _term_plan(term: Term) -> Tuple[List[_Step], List[int]]:
                 steps[step][1].append((sides[0], sides[1] - prefix_width))
                 continue
         steps[step][0].append(conjunct)
-    return steps, widths
+    return steps
 
 
 def evaluate_term(term: Term, state: State) -> SignedBag:
     """Evaluate one term with columnar hash joins; equals ``term.evaluate``."""
-    steps, _ = _term_plan(term)
-    resolve = term.product.resolve
+    steps, masks = _term_plan(term)
 
     joined = _operand_batch(term.operands[0], state)
-    filters, _ = steps[0]
-    for conjunct in filters:
-        mask = compile_mask(conjunct, resolve)
-        if mask is not None:
-            joined = joined.compress(mask(joined.columns, len(joined.counts)))
+    for mask in masks[0]:
+        joined = joined.compress(mask(joined.columns, len(joined.counts)))
 
     for step in range(1, len(term.operands)):
         if joined.is_empty():
             # The batch is narrower than the full product here, so the
             # projection below could not resolve — but it is empty anyway.
             return SignedBag()
-        filters, keys = steps[step]
+        _, keys = steps[step]
         joined = batch_join(joined, _operand_batch(term.operands[step], state), keys)
-        for conjunct in filters:
-            mask = compile_mask(conjunct, resolve)
-            if mask is not None:
-                joined = joined.compress(mask(joined.columns, len(joined.counts)))
+        for mask in masks[step]:
+            joined = joined.compress(mask(joined.columns, len(joined.counts)))
 
-    positions = [resolve(name) for name in term.projection]
-    return joined.gather_columns(positions).to_bag(term.coefficient)
+    return joined.gather_columns(term.shape.positions).to_bag(term.coefficient)
 
 
 def evaluate_term_scalar(term: Term, state: State) -> SignedBag:
@@ -205,7 +219,7 @@ def evaluate_term_scalar(term: Term, state: State) -> SignedBag:
         if not joined:
             break
 
-    positions = tuple(term.product.resolve(name) for name in term.projection)
+    positions = term.shape.positions
     result = SignedBag()
     for row, count in joined:
         result.add(tuple(row[i] for i in positions), count * term.coefficient)

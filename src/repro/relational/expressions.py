@@ -10,12 +10,18 @@ Substituting an update ``U`` on relation ``rk`` into a term binds ``rk``'s
 operand to ``U``'s signed tuple; if the operand is already bound the result
 is the empty query (the paper's ``Ti<U> = {}`` rule), which is why
 ``Q<U1,...,Uk>`` vanishes as soon as two updates touch the same relation.
+
+Substitution and negation never change a term's operand schemas,
+projection or condition, only which operands are bound and the sign.
+That invariant part is a :class:`TermShape`: built and validated once
+for a fresh term, then handed to every term derived from it, so the
+compensation hot path never re-resolves a name.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ExpressionError
 from repro.relational.bag import SignedBag
@@ -32,6 +38,9 @@ class RelationOperand:
 
     __slots__ = ("schema",)
 
+    #: A class constant, not a property: compensation reads it per operand.
+    is_bound = False
+
     def __init__(self, schema: RelationSchema) -> None:
         self.schema = schema
 
@@ -44,10 +53,6 @@ class RelationOperand:
     def source_relation(self) -> str:
         """The stored relation this occurrence reads from."""
         return self.schema.base
-
-    @property
-    def is_bound(self) -> bool:
-        return False
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RelationOperand) and self.schema == other.schema
@@ -64,6 +69,8 @@ class BoundOperand:
 
     __slots__ = ("schema", "tuple")
 
+    is_bound = True
+
     def __init__(self, schema: RelationSchema, signed_tuple: SignedTuple) -> None:
         schema.validate_row(signed_tuple.values)
         self.schema = schema
@@ -76,10 +83,6 @@ class BoundOperand:
     @property
     def source_relation(self) -> str:
         return self.schema.base
-
-    @property
-    def is_bound(self) -> bool:
-        return True
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -98,8 +101,71 @@ class BoundOperand:
 Operand = object  # RelationOperand | BoundOperand
 
 
+class TermShape:
+    """The part of a term fixed by its operand schemas, projection and condition.
+
+    Substitution and negation change which operands carry a tuple and the
+    coefficient, never the schemas, so every term derived from one term
+    shares that term's shape.  A shape is resolved once, when a fresh
+    :class:`Term` is built; name resolution errors surface there.  The
+    row predicate and the engine's join plan are filled in on first use,
+    because compensation builds many terms that are never evaluated, or
+    are evaluated only through the columnar engine.
+    """
+
+    __slots__ = (
+        "product",
+        "projection",
+        "condition",
+        "positions",
+        "occurrences",
+        "plan",
+        "_predicate",
+    )
+
+    def __init__(
+        self,
+        schemas: Sequence[RelationSchema],
+        projection: Sequence[str],
+        condition: Condition,
+    ) -> None:
+        self.product = ProductSchema(schemas)
+        self.projection: Tuple[str, ...] = tuple(projection)
+        if not self.projection:
+            raise ExpressionError("a term needs a non-empty projection")
+        self.condition = condition
+        #: Product-row positions of the projected columns.
+        self.positions: Tuple[int, ...] = tuple(
+            self.product.resolve(name) for name in self.projection
+        )
+        for name in condition.attributes():
+            self.product.resolve(name)
+        occurrences: Dict[str, List[int]] = {}
+        for index, schema in enumerate(self.product.schemas):
+            occurrences.setdefault(schema.base, []).append(index)
+        #: Stored relation -> operand indices reading it, in operand order.
+        self.occurrences: Dict[str, Tuple[int, ...]] = {
+            base: tuple(indices) for base, indices in occurrences.items()
+        }
+        #: The columnar engine's join plan (see ``repro.relational.engine``).
+        self.plan: Optional[object] = None
+        self._predicate: Optional[Callable[[Row], bool]] = None
+
+    def predicate(self) -> Callable[[Row], bool]:
+        """The condition bound to product-row positions."""
+        if self._predicate is None:
+            self._predicate = self.condition.bind(self.product)
+        return self._predicate
+
+
 class Term:
-    """One ``pi_proj(sigma_cond(~r1 x ... x ~rn))`` with a +/-1 coefficient."""
+    """One ``pi_proj(sigma_cond(~r1 x ... x ~rn))`` with a +/-1 coefficient.
+
+    ``shape`` is for terms derived from another term (by negation or
+    substitution): their operands have the parent's schemas, so they take
+    its :class:`TermShape` instead of resolving names again, and
+    ``projection`` and ``condition`` are then the shape's own.
+    """
 
     __slots__ = (
         "operands",
@@ -107,8 +173,7 @@ class Term:
         "condition",
         "coefficient",
         "product",
-        "_proj_positions",
-        "_predicate",
+        "shape",
     )
 
     def __init__(
@@ -117,29 +182,26 @@ class Term:
         projection: Sequence[str],
         condition: Optional[Condition] = None,
         coefficient: int = 1,
+        *,
+        shape: Optional[TermShape] = None,
     ) -> None:
-        if not operands:
+        self.operands: Tuple[Operand, ...] = tuple(operands)
+        if not self.operands:
             raise ExpressionError("a term needs at least one operand")
         if coefficient not in (1, -1):
             raise ExpressionError(f"term coefficient must be +1 or -1, got {coefficient!r}")
-        self.operands: Tuple[Operand, ...] = tuple(operands)
-        self.product = ProductSchema([op.schema for op in self.operands])
-        self.projection: Tuple[str, ...] = tuple(projection)
-        if not self.projection:
-            raise ExpressionError("a term needs a non-empty projection")
-        self.condition: Condition = condition if condition is not None else TrueCondition()
+        if shape is None:
+            # Resolves every name, so malformed terms fail here.
+            shape = TermShape(
+                [op.schema for op in self.operands],
+                projection,
+                condition if condition is not None else TrueCondition(),
+            )
+        self.shape = shape
+        self.product = shape.product
+        self.projection = shape.projection
+        self.condition: Condition = shape.condition
         self.coefficient = coefficient
-        # Resolve names eagerly so malformed terms fail at construction
-        # time; the condition's row predicate is bound lazily because
-        # compensation machinery builds thousands of terms that are
-        # evaluated (if at all) through the columnar engine, which
-        # compiles masks itself and never calls the predicate.
-        self._proj_positions: Tuple[int, ...] = tuple(
-            self.product.resolve(name) for name in self.projection
-        )
-        for name in self.condition.attributes():
-            self.product.resolve(name)
-        self._predicate: Optional[Callable[[Row], bool]] = None
 
     # ------------------------------------------------------------------ #
     # Structure
@@ -164,7 +226,10 @@ class Term:
 
     def is_fully_bound(self) -> bool:
         """True when no base relation remains — evaluable without the source."""
-        return all(op.is_bound for op in self.operands)
+        for op in self.operands:
+            if not op.is_bound:
+                return False
+        return True
 
     def operand_for(self, relation: str) -> Operand:
         for op in self.operands:
@@ -181,7 +246,13 @@ class Term:
     # ------------------------------------------------------------------ #
 
     def negate(self) -> "Term":
-        return Term(self.operands, self.projection, self.condition, -self.coefficient)
+        return Term(
+            self.operands,
+            self.projection,
+            self.condition,
+            -self.coefficient,
+            shape=self.shape,
+        )
 
     def substitute(self, relation: str, signed_tuple: SignedTuple) -> Optional["Term"]:
         """``T<U>`` for a relation occurring exactly once: bind its operand.
@@ -191,9 +262,7 @@ class Term:
         ``relation`` at all, or when the relation occurs several times
         (self-join) — use :meth:`substitute_update` for the general case.
         """
-        matches = [
-            i for i, op in enumerate(self.operands) if op.source_relation == relation
-        ]
+        matches = self.shape.occurrences.get(relation)
         if not matches:
             raise ExpressionError(f"term does not involve relation {relation!r}")
         if len(matches) > 1:
@@ -206,7 +275,13 @@ class Term:
             return None
         new_operands = list(self.operands)
         new_operands[index] = BoundOperand(self.operands[index].schema, signed_tuple)
-        return Term(new_operands, self.projection, self.condition, self.coefficient)
+        return Term(
+            new_operands,
+            self.projection,
+            self.condition,
+            self.coefficient,
+            shape=self.shape,
+        )
 
     def substitute_update(
         self, relation: str, signed_tuple: SignedTuple
@@ -230,9 +305,7 @@ class Term:
         ``relation`` but all are already bound (the generalized vanishing
         rule), and raises when it has none.
         """
-        occurrences = [
-            i for i, op in enumerate(self.operands) if op.source_relation == relation
-        ]
+        occurrences = self.shape.occurrences.get(relation)
         if not occurrences:
             raise ExpressionError(f"term does not involve relation {relation!r}")
         free = [i for i in occurrences if not self.operands[i].is_bound]
@@ -251,6 +324,7 @@ class Term:
                         self.projection,
                         self.condition,
                         self.coefficient * flip,
+                        shape=self.shape,
                     )
                 )
         return out
@@ -279,11 +353,8 @@ class Term:
                     ) from None
                 extents.append(list(bag.items()))
         result = SignedBag()
-        predicate = self._predicate
-        if predicate is None:
-            predicate = self.condition.bind(self.product)
-            self._predicate = predicate
-        positions = self._proj_positions
+        predicate = self.shape.predicate()
+        positions = self.shape.positions
         for combo in itertools.product(*extents):
             row: Row = tuple(itertools.chain.from_iterable(part for part, _ in combo))
             if not predicate(row):
@@ -344,7 +415,7 @@ class Query:
         """
         substituted: List[Term] = []
         for term in self.terms:
-            if relation not in term.source_relation_names:
+            if relation not in term.shape.occurrences:
                 continue
             substituted.extend(term.substitute_update(relation, signed_tuple))
         return Query(substituted)

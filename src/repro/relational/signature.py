@@ -117,7 +117,7 @@ def term_signature(term: Term) -> Signature:
     return (
         "term",
         tuple(_operand_signature(op) for op in term.operands),
-        tuple(term.product.resolve(name) for name in term.projection),
+        term.shape.positions,
         condition_signature(term.condition, term.product),
         term.coefficient,
     )

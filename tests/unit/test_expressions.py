@@ -82,6 +82,29 @@ class TestTermConstruction:
         with pytest.raises(SchemaError):
             Term([RelationOperand(r1)], ("Nope",))
 
+    def test_rejects_unknown_condition_attribute(self, r1, r2):
+        from repro.errors import SchemaError
+
+        with pytest.raises(SchemaError):
+            Term(
+                [RelationOperand(r1), RelationOperand(r2)],
+                ("W",),
+                Comparison(Attr("r1.X"), "=", Attr("r2.Nope")),
+            )
+
+    def test_rejects_ambiguous_bare_name(self, r1, r2):
+        from repro.errors import SchemaError
+
+        # X is an attribute of both r1 and r2.
+        with pytest.raises(SchemaError, match="ambiguous"):
+            Term([RelationOperand(r1), RelationOperand(r2)], ("X",))
+
+    def test_rejects_duplicate_operand_names(self, r1):
+        from repro.errors import SchemaError
+
+        with pytest.raises(SchemaError):
+            Term([RelationOperand(r1), RelationOperand(r1)], ("r1.W",))
+
     def test_structure_accessors(self, r1, r2):
         term = join_term(r1, r2)
         assert term.relation_names == ("r1", "r2")
@@ -220,3 +243,73 @@ class TestQueryAlgebra:
         assert a != empty_query()
         assert "pi" in repr(a)
         assert "empty" in repr(empty_query())
+
+
+class TestTermShapes:
+    """Derived terms share their parent's shape and match a fresh build."""
+
+    @staticmethod
+    def fresh_like(term):
+        """The same term built from scratch, resolving every name again."""
+        return Term(term.operands, term.projection, term.condition, term.coefficient)
+
+    @staticmethod
+    def derived_terms(r1, r2):
+        term = join_term(r1, r2, projection=("W", "r2.X", "Y"))
+        bound = term.substitute("r1", SignedTuple((1, 2)))
+        return [
+            term.negate(),
+            bound,
+            bound.negate(),
+            *term.substitute_update("r2", SignedTuple((2, 3), MINUS)),
+            *bound.substitute_update("r2", SignedTuple((2, 4))),
+        ]
+
+    def test_derived_terms_share_the_parent_shape(self, r1, r2):
+        term = join_term(r1, r2, projection=("W", "r2.X", "Y"))
+        for derived in [term.negate(), term.substitute("r1", SignedTuple((1, 2)))]:
+            assert derived.shape is term.shape
+            assert derived.product is term.product
+
+    def test_derived_term_matches_fresh_build(self, r1, r2):
+        from repro.relational.signature import term_signature
+
+        for derived in self.derived_terms(r1, r2):
+            fresh = self.fresh_like(derived)
+            assert fresh.shape is not derived.shape
+            assert derived.product.schemas == fresh.product.schemas
+            assert derived.product.width == fresh.product.width
+            assert derived.shape.positions == fresh.shape.positions
+            assert derived.output_columns() == fresh.output_columns()
+            assert derived == fresh
+            assert hash(derived) == hash(fresh)
+            assert term_signature(derived) == term_signature(fresh)
+
+    def test_derived_term_evaluates_like_fresh_build(self, r1, r2):
+        state = {
+            "r1": SignedBag.from_rows([(1, 2), (4, 2)]),
+            "r2": SignedBag.from_rows([(2, 3), (2, 4)]),
+        }
+        for derived in self.derived_terms(r1, r2):
+            assert derived.evaluate(state) == self.fresh_like(derived).evaluate(state)
+
+    def test_self_join_substitution_shares_shape(self, r1):
+        manager = r1.aliased("m")
+        term = Term(
+            [RelationOperand(r1), RelationOperand(manager)],
+            ("r1.W", "m.W"),
+            Comparison(Attr("r1.X"), "=", Attr("m.W")),
+        )
+        expanded = term.substitute_update("r1", SignedTuple((5, 6)))
+        assert [t.coefficient for t in expanded] == [1, 1, -1]
+        for derived in expanded:
+            assert derived.shape is term.shape
+            assert derived == self.fresh_like(derived)
+
+    @pytest.mark.parametrize("method", ["substitute", "substitute_update"])
+    def test_wrong_arity_substitution_still_raises(self, r1, r2, method):
+        from repro.errors import SchemaError
+
+        term = join_term(r1, r2).negate()
+        with pytest.raises(SchemaError):
+            getattr(term, method)("r2", SignedTuple((1, 2, 3)))

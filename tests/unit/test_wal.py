@@ -1,6 +1,7 @@
 """Unit tests for the write-ahead log (``repro.durability.wal``)."""
 
 import os
+import stat
 
 import pytest
 
@@ -184,6 +185,32 @@ class TestSnapshots:
             handle.write("garbage")
         with pytest.raises(WalCorruption):
             read_latest_snapshot(str(tmp_path))
+
+    @pytest.mark.parametrize("fsync", [True, False])
+    def test_fsync_makes_snapshot_renames_durable(self, tmp_path, monkeypatch, fsync):
+        """Each ``os.replace`` (snapshot, then compacted log) syncs the directory."""
+        _, algorithm = fresh_eca()
+        wal = WriteAheadLog(str(tmp_path), fsync=fsync)
+        wal.append(EVENT, {})
+        directory = os.stat(str(tmp_path))
+        synced = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            info = os.fstat(fd)
+            synced.append(
+                stat.S_ISDIR(info.st_mode)
+                and (info.st_dev, info.st_ino) == (directory.st_dev, directory.st_ino)
+            )
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        wal.snapshot(algorithm)
+        wal.close()
+        assert synced.count(True) == (2 if fsync else 0)
+        if fsync:
+            # The renamed files' own bytes are synced before each rename.
+            assert synced == [False, True, False, True]
 
     def test_parameter_validation(self, tmp_path):
         with pytest.raises(ValueError):
