@@ -305,6 +305,7 @@ def _fanout_topology(n_sources: int, updates: int, seed: int, algorithm: str = "
 def cmd_runtime(args: argparse.Namespace) -> int:
     from repro.consistency import check_trace
     from repro.core.registry import ALGORITHMS, create_algorithm
+    from repro.errors import SimulationError
     from repro.experiments.report import render_table
     from repro.multisource.consistency import cut_report
     from repro.relational.engine import evaluate_view
@@ -322,14 +323,6 @@ def cmd_runtime(args: argparse.Namespace) -> int:
             "catalog's member views; the multi-source topology maintains a "
             "single spanning view, so there is nothing to share — drop the "
             "flag or pick a single-source algorithm",
-            file=sys.stderr,
-        )
-        return 2
-    if multi and args.shards:
-        print(
-            "--shards places whole views on shards; a view spanning several "
-            "sources cannot be partitioned — drop --shards or pick a "
-            "single-source algorithm",
             file=sys.stderr,
         )
         return 2
@@ -449,7 +442,7 @@ def cmd_runtime(args: argparse.Namespace) -> int:
         from repro.obs import Observability
 
         obs = Observability(
-            trace=bool(args.trace_out), sharded=bool(args.shards)
+            trace=bool(args.trace_out), sharded=args.shards is not None
         )
 
     crash = None
@@ -494,6 +487,10 @@ def cmd_runtime(args: argparse.Namespace) -> int:
             batch_k=args.batch_k,
             wire_codec=args.wire_codec,
         )
+    except SimulationError as error:
+        # The harness owns every option-combination rule; report, not crash.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     finally:
         if temp_wal is not None:
             temp_wal.cleanup()

@@ -1,12 +1,20 @@
 """``run_concurrent``: drive N sources × M clients to quiescence.
 
-The harness wires sources, one warehouse, and view-reading clients onto a
-shared transport, runs them as asyncio tasks, and records a global
+The harness wires sources, a warehouse tier, and view-reading clients onto
+a shared transport, runs them as asyncio tasks, and records a global
 :class:`~repro.simulation.trace.Trace` exactly like the synchronous
 drivers do — one source snapshot per executed update, one view snapshot
 per warehouse event — so :func:`repro.consistency.checker.check_trace`
 classifies concurrent executions against the Section 3.1 hierarchy with
 no changes.
+
+The warehouse tier has two shapes behind one body.  Unsharded, it is the
+paper's single warehouse process on the ``"{name}->wh"`` channels.  With
+``shards=N`` it is a :class:`~repro.sharding.router.ShardRouter` in front
+of one warehouse actor per populated shard, each with its own WAL
+directory and crash/recovery lifecycle, merged for readers by a
+:class:`~repro.sharding.facade.ShardedWarehouse`.  Sources and clients
+are identical in both.
 
 Everything runs on one event loop with no wall-clock waits, so a run is
 deterministic: the same sources, workloads, seed, and fault plan replay
@@ -15,20 +23,21 @@ throughput metric and never feeds back into scheduling.
 
 Termination: the harness waits for every client to finish and every
 source workload to drain, then polls (at scheduling points) until all
-channels are empty and the algorithm is quiescent, and finally closes the
-transport, unwinding the actor tasks.
+channels are empty and every warehouse actor is quiescent, and finally
+closes the transport, unwinding the actor tasks.
 """
 
 from __future__ import annotations
 
 import asyncio
+import os
 import time
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.durability.crash import CrashPolicy
 from repro.durability.recovery import recover
 from repro.durability.wal import WriteAheadLog
-from repro.errors import SimulationError, WarehouseCrashed
+from repro.errors import SimulationError, TransportClosed, WarehouseCrashed
 from repro.kernel.dispatch import relation_owners
 from repro.messaging.messages import QueryRequest
 from repro.messaging.wire import create_codec
@@ -207,8 +216,7 @@ class RuntimeResult:
         #: Per-source state histories for the cut-consistency checker.
         self.per_source_states = dict(per_source_states or {})
         #: Sharded runs only (``None`` otherwise): shard count, partitioner
-        #: kind, view assignment, and the final per-shard algorithms — see
-        #: :mod:`repro.sharding.harness`.
+        #: kind, view assignment, and the final per-shard algorithms.
         self.shard_info = shard_info
         #: Serving-tier summary — ``ServingCache.report()`` plus the
         #: backend read count — when a cache fronted this run.
@@ -292,6 +300,146 @@ def _normalize_workloads(
     return per_source
 
 
+class _Slot:
+    """One warehouse actor's fixed wiring plus its current incarnation."""
+
+    __slots__ = ("algorithm", "wiring", "metrics", "obs", "wal_dir", "wal", "handle")
+
+    def __init__(
+        self,
+        algorithm: object,
+        wiring: Dict[str, object],
+        metrics: ActorMetrics,
+        obs: Optional[object],
+        wal_dir: Optional[str],
+    ) -> None:
+        #: The current incarnation's algorithm (recovery swaps it).
+        self.algorithm = algorithm
+        #: ``WarehouseActor`` keywords fixing the actor's channels.
+        self.wiring = wiring
+        #: Counters carried across incarnations.
+        self.metrics = metrics
+        self.obs = obs
+        self.wal_dir = wal_dir
+        self.wal: Optional[WriteAheadLog] = None
+        self.handle: Optional[WarehouseHandle] = None
+
+
+class _Tier:
+    """The warehouse side of a run: one :class:`_Slot` per shard id.
+
+    The unsharded tier is shard ``0`` alone, with no router; its handle is
+    the facade.  The sharded tier adds a router and merges its shards'
+    views through a :class:`~repro.sharding.facade.ShardedWarehouse`.
+    """
+
+    def __init__(
+        self,
+        slots: Dict[int, _Slot],
+        router: Optional[object] = None,
+        plan_info: Optional[Dict[str, object]] = None,
+    ) -> None:
+        self.slots = slots
+        self.router = router
+        self.plan_info = plan_info
+        #: What clients and the recorder read: the lone handle, or the
+        #: merged :class:`~repro.sharding.facade.ShardedWarehouse`.
+        self.facade: object = None
+
+    def label(self, shard: int) -> str:
+        return "warehouse" if self.router is None else f"shard {shard}"
+
+    def shard_info(self) -> Optional[Dict[str, object]]:
+        if self.plan_info is None:
+            return None
+        algorithms = {shard: slot.algorithm for shard, slot in self.slots.items()}
+        return dict(self.plan_info, algorithms=algorithms)
+
+
+def _single_tier(
+    algorithm: object,
+    owners: Dict[str, str],
+    names: Sequence[str],
+    wal_dir: Optional[str],
+    obs: Optional[object],
+) -> _Tier:
+    """The paper's one warehouse, reading every ``"{name}->wh"`` channel."""
+    algorithm.bind_owners(owners)
+    wiring = {"inboxes": [warehouse_inbox(name) for name in names]}
+    metrics = ActorMetrics("warehouse", "warehouse")
+    return _Tier({0: _Slot(algorithm, wiring, metrics, obs, wal_dir)})
+
+
+def _sharded_tier(
+    algorithm: object,
+    owners: Dict[str, str],
+    source_names: Sequence[str],
+    client_names: Sequence[str],
+    wal_dir: Optional[str],
+    obs: Optional[object],
+    transport: AsyncTransport,
+    shards: int,
+    partitioner: object,
+) -> _Tier:
+    """Per-shard catalogs behind a router; see :mod:`repro.sharding`."""
+    from repro.sharding import (
+        Partitioner,
+        ShardRouter,
+        plan_shards,
+        router_request_channel,
+        shard_channel,
+    )
+
+    plan = plan_shards(algorithm, shards, partitioner, owners)
+    slots: Dict[int, _Slot] = {}
+    for shard in plan.shard_ids:
+        plan.algorithms[shard].bind_owners(owners)
+        # Inboxes are the router's per-(origin, shard) channels; origins
+        # and labels translate them back to the unsharded vocabulary (WAL
+        # records and action-log labels stay comparable); outgoing
+        # queries detour through the router for id multiplexing.
+        labels = {
+            shard_channel(name, shard): name for name in [*source_names, *client_names]
+        }
+        wiring = {
+            "inboxes": list(labels),
+            "channel_origins": {
+                channel: name if name in source_names else None
+                for channel, name in labels.items()
+            },
+            "channel_labels": labels,
+            "request_channel": router_request_channel(shard),
+        }
+        slots[shard] = _Slot(
+            plan.algorithms[shard],
+            wiring,
+            ActorMetrics(f"shard{shard}", "shard", shard=str(shard)),
+            obs.shard_view(shard) if obs is not None else None,
+            os.path.join(wal_dir, f"shard-{shard}") if wal_dir is not None else None,
+        )
+    router = ShardRouter(
+        transport,
+        plan.interest,
+        plan.shard_ids,
+        source_names=source_names,
+        client_names=client_names,
+        shard_obs={
+            shard: slot.obs for shard, slot in slots.items() if slot.obs is not None
+        },
+    )
+    plan_info = {
+        "shards": plan.shards,
+        "partitioner": (
+            partitioner.kind
+            if isinstance(partitioner, Partitioner)
+            else str(partitioner)
+        ),
+        "assignment": dict(plan.assignment),
+        "shard_ids": plan.shard_ids,
+    }
+    return _Tier(slots, router, plan_info)
+
+
 def run_concurrent(
     sources: SourcesArg,
     algorithm: object,
@@ -349,7 +497,8 @@ def run_concurrent(
     wal_dir:
         Directory for a :class:`~repro.durability.wal.WriteAheadLog`; the
         warehouse logs every received message before dispatching it and a
-        genesis snapshot is taken before the first event.
+        genesis snapshot is taken before the first event.  A sharded run
+        keeps one log per shard in ``wal_dir/shard-<i>``.
     wal_fsync:
         Force ``os.fsync`` on every WAL append (real crash safety, real
         cost — see the durability benchmark).
@@ -365,27 +514,27 @@ def run_concurrent(
         every actor, the WAL, and recovery emit causal spans and registry
         metrics through it (timestamps use the transport's virtual
         clock), and the run's final accounting is folded in via
-        ``obs.finalize``.  ``None`` (the default) costs one ``is None``
+        ``obs.finalize``.  Its ``sharded`` flag must match whether
+        ``shards`` is set.  ``None`` (the default) costs one ``is None``
         check per hook site.
     shards:
         Partition the warehouse into this many shards behind a
         :class:`~repro.sharding.router.ShardRouter`; ``None`` (the
-        default) runs the single warehouse actor below.  A sharded run
-        takes per-shard WAL directories under ``wal_dir`` and applies
-        ``crash`` to ``crash_shard`` only — see
-        :func:`repro.sharding.harness.run_sharded`.
+        default) runs the single warehouse actor.  The result then gains
+        ``router`` and ``shard<i>`` metrics rows and ``shard_info``.
     partitioner:
         Sharded runs only: ``"hash"``, ``"range"``, or a
         :class:`~repro.sharding.partition.Partitioner` instance.
     crash_shard:
-        Sharded runs only: the shard ``crash`` applies to.
+        The populated shard ``crash`` applies to; the unsharded warehouse
+        is shard 0.
     record_trace:
         When ``False``, skip per-event trace/state snapshots (an O(rows)
         cost per event) — action log, serials, and metrics still accrue.
         For benchmarks; consistency checkers need the full trace.
     cache:
         A :class:`repro.serving.ServingCache` fronting the warehouse for
-        read traffic.  The warehouse actor streams each event's dirtied
+        read traffic.  Every warehouse actor streams each event's dirtied
         view keys into it (precise invalidation); a ``read_workload``
         is served through it by a reader actor.
     read_workload:
@@ -403,13 +552,14 @@ def run_concurrent(
         :class:`~repro.messaging.messages.UpdateBatch` event, answered by
         a single compensating query ``Q<U1,...,Uk>``.  The default 1
         never batches — byte-for-byte the legacy per-update protocol.
-        Not yet supported together with ``shards``.
+        Not supported together with ``shards``.
     wire_codec:
         Name of a :mod:`repro.messaging.wire` codec (``"none"``,
         ``"frame"``, ``"zlib"``, ``"zstd"``).  When set (and not
         ``"none"``), every channel's ``sent_bytes`` counts the real
         framed (optionally compressed) serialization of each message
-        instead of the abstract sizer estimate.
+        instead of the abstract sizer estimate.  Not supported together
+        with ``shards``.
     """
     if batch_k < 1:
         raise SimulationError(f"batch_k must be >= 1, got {batch_k}")
@@ -425,39 +575,23 @@ def run_concurrent(
                 "wire_codec is not supported with sharding yet: the "
                 "router's envelope channels bypass the codec accounting"
             )
-        from repro.sharding.harness import run_sharded
-
-        return run_sharded(
-            sources,
-            algorithm,
-            workload,
-            shards=shards,
-            partitioner=partitioner,
-            clients=clients,
-            client_reads=client_reads,
-            faults=faults,
-            seed=seed,
-            max_burst=max_burst,
-            sizer=sizer,
-            wal_dir=wal_dir,
-            wal_fsync=wal_fsync,
-            snapshot_every=snapshot_every,
-            crash=crash,
-            crash_shard=crash_shard,
-            obs=obs,
-            record_trace=record_trace,
-            cache=cache,
-            read_workload=read_workload,
-            verify_reads=verify_reads,
+    if obs is not None and getattr(obs, "sharded", False) != (shards is not None):
+        raise SimulationError(
+            "a sharded run needs Observability(sharded=True) so per-shard "
+            "series carry the shard label instead of colliding"
+            if shards is not None
+            else "an unsharded run needs Observability(sharded=False): its "
+            "warehouse series carry no shard label"
         )
+    if crash is not None and wal_dir is None:
+        raise SimulationError("crash injection requires wal_dir= (recovery source)")
+
     named_sources = _normalize_sources(sources)
     owners = relation_owners(named_sources)
     workloads = _normalize_workloads(workload, named_sources, owners)
     total_updates = sum(len(w) for w in workloads.values())
-    algorithm.bind_owners(owners)
-
-    if crash is not None and wal_dir is None:
-        raise SimulationError("crash injection requires wal_dir= (recovery source)")
+    source_names = sorted(named_sources)
+    client_names = [f"client-{i}" for i in range(clients)]
 
     codec = create_codec(wire_codec) if wire_codec is not None else None
     inner = InMemoryTransport(sizer=sizer, codec=codec)
@@ -468,38 +602,81 @@ def run_concurrent(
     if obs is not None:
         obs.attach_clock(transport.now)
 
-    wal = (
-        WriteAheadLog(wal_dir, fsync=wal_fsync, snapshot_every=snapshot_every, obs=obs)
-        if wal_dir is not None
-        else None
-    )
+    if shards is None:
+        tier = _single_tier(
+            algorithm, owners, source_names + client_names, wal_dir, obs
+        )
+    else:
+        tier = _sharded_tier(
+            algorithm,
+            owners,
+            source_names,
+            client_names,
+            wal_dir,
+            obs,
+            transport,
+            shards,
+            partitioner,
+        )
+    slots = tier.slots
+    if crash is not None and crash_shard not in slots:
+        raise SimulationError(
+            f"crash_shard={crash_shard} is not a populated shard "
+            f"(populated: {sorted(slots)})"
+        )
     crash_run = crash.start() if crash is not None else None
 
-    inboxes = [warehouse_inbox(name) for name in sorted(named_sources)] + [
-        warehouse_inbox(f"client-{i}") for i in range(clients)
-    ]
+    for slot in slots.values():
+        if slot.wal_dir is not None:
+            slot.wal = WriteAheadLog(
+                slot.wal_dir,
+                fsync=wal_fsync,
+                snapshot_every=snapshot_every,
+                obs=slot.obs,
+            )
     if cache is not None:
         cache.bind_obs(obs)
-        if obs is not None:
-            cache.attach_lag(obs.staleness_lag)
-    warehouse = WarehouseActor(
-        algorithm,
-        transport,
-        inboxes=inboxes,
-        owners=owners,
-        recorder=recorder,
-        wal=wal,
-        crash_run=crash_run,
-        obs=obs,
-        cache=cache,
-        batch_k=batch_k,
-    )
-    handle = WarehouseHandle(warehouse)
-    recorder.record_initial(handle)
-    if wal is not None:
-        # Genesis snapshot: recovery is possible even before the first
-        # automatic snapshot cadence fires.
-        wal.snapshot(algorithm)
+        views = [slot.obs for slot in slots.values() if slot.obs is not None]
+        if views:
+            # The cache is client-side of any router, so its backend-lag
+            # annotation is the worst lag across shards (a stale answer
+            # may involve any of them).
+            cache.attach_lag(lambda: max(view.staleness_lag() for view in views))
+
+    def incarnate(shard: int, **recovered: object) -> WarehouseActor:
+        """Build one incarnation of a shard's warehouse actor."""
+        slot = slots[shard]
+        return WarehouseActor(
+            slot.algorithm,
+            transport,
+            owners=owners,
+            recorder=recorder,
+            wal=slot.wal,
+            crash_run=crash_run if shard == crash_shard else None,
+            metrics=slot.metrics,
+            obs=slot.obs,
+            cache=cache,
+            batch_k=batch_k,
+            **slot.wiring,
+            **recovered,
+        )
+
+    for shard, slot in slots.items():
+        slot.handle = WarehouseHandle(incarnate(shard))
+        if slot.wal is not None:
+            # Genesis snapshot: recovery is possible even before the first
+            # automatic snapshot cadence fires.
+            slot.wal.snapshot(slot.algorithm)
+    if tier.router is None:
+        tier.facade = slots[0].handle
+        serving_algorithm = algorithm
+    else:
+        from repro.sharding import ShardedWarehouse
+
+        tier.facade = serving_algorithm = ShardedWarehouse(
+            {shard: slot.handle for shard, slot in slots.items()}
+        )
+    recorder.record_initial(tier.facade)
 
     source_actors = [
         SourceActor(
@@ -512,26 +689,26 @@ def run_concurrent(
             max_burst=max_burst,
             obs=obs,
         )
-        for index, name in enumerate(sorted(named_sources))
+        for index, name in enumerate(source_names)
     ]
     client_actors = [
         ClientActor(
-            f"client-{i}",
+            name,
             transport,
-            handle,
+            tier.facade,
             recorder,
             reads=client_reads,
             seed=seed + 101 + i,
             obs=obs,
         )
-        for i in range(clients)
+        for i, name in enumerate(client_names)
     ]
     reader_actors: List[ReadClientActor] = []
     reader = None
     if read_workload is not None:
-        # Reads go through the handle so they survive crash-and-recover
+        # Reads go through the facade so they survive crash-and-recover
         # incarnation swaps, like every other reader in the system.
-        reader = reader_for(algorithm, state_fn=handle.view_state)
+        reader = reader_for(serving_algorithm, state_fn=tier.facade.view_state)
         reader_actors.append(
             ReadClientActor(
                 "reader-0",
@@ -545,102 +722,108 @@ def run_concurrent(
 
     crashes: List[Dict[str, object]] = []
     wal_totals = {"records": 0, "snapshots": 0}
-    wal_box = {"wal": wal}
 
-    def _restart(fault: WarehouseCrashed) -> None:
-        """Replace the dead warehouse with one rebuilt from the WAL."""
-        old = handle.actor
+    def _restart(shard: int, fault: WarehouseCrashed) -> None:
+        """Rebuild one dead warehouse actor from its own WAL."""
+        slot = slots[shard]
+        label = tier.label(shard)
         recorder.record_crash(
-            f"warehouse crashed at event {fault.event_index} "
+            f"{label} crashed at event {fault.event_index} "
             f"(mode={fault.mode}, drop_sends={fault.drop_sends})"
         )
-        dead_wal = wal_box["wal"]
-        wal_totals["records"] += dead_wal.appended
-        wal_totals["snapshots"] += dead_wal.snapshots_taken
-        dead_wal.close()
-        if obs is not None:
-            obs.crash(fault.event_index, fault.mode, fault.drop_sends)
-        recovered = recover(wal_dir, obs=obs)
+        wal_totals["records"] += slot.wal.appended
+        wal_totals["snapshots"] += slot.wal.snapshots_taken
+        slot.wal.close()
+        if slot.obs is not None:
+            slot.obs.crash(fault.event_index, fault.mode, fault.drop_sends)
+        sharded = tier.router is not None
+        if sharded:
+            # Invalidate BEFORE the new incarnation re-issues: any answer
+            # still addressed to a pre-crash global id must die at the
+            # router, never be translated into the new id space.
+            invalidated = tier.router.invalidate_shard(shard)
+        recovered = recover(slot.wal_dir, obs=slot.obs)
         recovered.algorithm.bind_owners(owners)
-        new_wal = WriteAheadLog(
-            wal_dir, fsync=wal_fsync, snapshot_every=snapshot_every, obs=obs
+        slot.algorithm = recovered.algorithm
+        slot.wal = WriteAheadLog(
+            slot.wal_dir, fsync=wal_fsync, snapshot_every=snapshot_every, obs=slot.obs
         )
         # Fold the replayed suffix into a fresh snapshot so a second crash
         # recovers from here, not from before the first one.
-        new_wal.snapshot(recovered.algorithm)
-        wal_box["wal"] = new_wal
-        old.metrics.bump("crashes")
-        handle.actor = WarehouseActor(
-            recovered.algorithm,
-            transport,
-            inboxes=inboxes,
-            owners=owners,
-            recorder=recorder,
-            wal=new_wal,
-            crash_run=crash_run,
-            reissue=recovered.reissue,
-            metrics=old.metrics,
+        slot.wal.snapshot(recovered.algorithm)
+        slot.metrics.bump("crashes")
+        slot.handle.actor = incarnate(
+            shard, reissue=recovered.reissue, event_index=fault.event_index
+        )
+        info: Dict[str, object] = {"shard": shard} if sharded else {}
+        info.update(
             event_index=fault.event_index,
-            obs=obs,
-            cache=cache,
-            batch_k=batch_k,
+            mode=fault.mode,
+            drop_sends=fault.drop_sends,
+            snapshot_lsn=recovered.snapshot_lsn,
+            replayed=recovered.replayed,
+            reissued=len(recovered.reissue),
         )
-        crashes.append(
-            {
-                "event_index": fault.event_index,
-                "mode": fault.mode,
-                "drop_sends": fault.drop_sends,
-                "snapshot_lsn": recovered.snapshot_lsn,
-                "replayed": recovered.replayed,
-                "reissued": len(recovered.reissue),
-                "virtual_time": transport.now(),
-            }
-        )
-        recorder.record_recovery(
+        detail = (
             f"recovered from snapshot lsn {recovered.snapshot_lsn} + "
             f"{recovered.replayed} replayed record(s), "
             f"{len(recovered.reissue)} re-issued query(ies)"
         )
+        if sharded:
+            info["routes_invalidated"] = invalidated
+            detail = f"{label} {detail}, {invalidated} router route(s) invalidated"
+        info["virtual_time"] = transport.now()
+        crashes.append(info)
+        recorder.record_recovery(detail)
 
-    started = time.perf_counter()
-    asyncio.run(
-        _drive(
-            transport,
-            handle,
-            source_actors,
-            client_actors,
-            restart=_restart if crash_run is not None else None,
-            reader_actors=reader_actors,
+    try:
+        started = time.perf_counter()
+        asyncio.run(
+            _drive(
+                transport,
+                tier,
+                source_actors,
+                client_actors + reader_actors,
+                restart=_restart if crash_run is not None else None,
+            )
         )
-    )
-    wall_seconds = time.perf_counter() - started
-
+        wall_seconds = time.perf_counter() - started
+    finally:
+        # Also on failure: a log left open keeps its directory locked.
+        for slot in slots.values():
+            if slot.wal is not None:
+                wal_totals["records"] += slot.wal.appended
+                wal_totals["snapshots"] += slot.wal.snapshots_taken
+                slot.wal.close()
     wal_stats = None
-    final_wal = wal_box["wal"]
-    if final_wal is not None:
-        wal_totals["records"] += final_wal.appended
-        wal_totals["snapshots"] += final_wal.snapshots_taken
-        wal_stats = {
-            "records": wal_totals["records"],
-            "snapshots": wal_totals["snapshots"],
-            "last_lsn": final_wal.last_lsn,
-        }
-        final_wal.close()
+    if wal_dir is not None:
+        wal_stats = dict(
+            wal_totals, last_lsn=max(slot.wal.last_lsn for slot in slots.values())
+        )
 
-    if not handle.is_quiescent():
+    laggards = [
+        tier.label(shard)
+        for shard, slot in slots.items()
+        if not slot.handle.is_quiescent()
+    ]
+    if laggards:
         raise SimulationError(
             f"algorithm {getattr(algorithm, 'name', algorithm)!r} failed to "
-            f"quiesce after the workload drained"
+            f"quiesce after the workload drained ({', '.join(laggards)})"
+        )
+    if tier.router is not None and tier.router.pending_routes:
+        raise SimulationError(
+            f"router still holds {tier.router.pending_routes} live route(s) at "
+            f"quiescence — a query answer was lost"
         )
 
     metrics = {actor.metrics.name: actor.metrics for actor in source_actors}
-    metrics["warehouse"] = handle.metrics
-    for client in client_actors:
-        metrics[client.name] = client.metrics
-    for reader_actor in reader_actors:
-        metrics[reader_actor.name] = reader_actor.metrics
-
-    serving = serving_report(cache, reader)
+    if tier.router is not None:
+        metrics["router"] = tier.router.metrics
+    for slot in slots.values():
+        metrics[slot.metrics.name] = slot.metrics
+    for actor in client_actors + reader_actors:
+        metrics[actor.name] = actor.metrics
 
     result = RuntimeResult(
         trace=recorder.trace,
@@ -651,12 +834,13 @@ def run_concurrent(
         virtual_duration=transport.now(),
         wall_seconds=wall_seconds,
         observations={c.name: c.observations for c in client_actors},
-        final_view=handle.view_state(),
+        final_view=tier.facade.view_state(),
         crashes=crashes,
         wal_stats=wal_stats,
         action_log=recorder.action_log,
         per_source_states=recorder.per_source_states,
-        serving=serving,
+        shard_info=tier.shard_info(),
+        serving=serving_report(cache, reader),
         read_results={r.name: r.results for r in reader_actors},
         read_mismatches=[m for r in reader_actors for m in r.mismatches],
     )
@@ -667,47 +851,49 @@ def run_concurrent(
 
 async def _drive(
     transport: AsyncTransport,
-    warehouse: WarehouseHandle,
+    tier: _Tier,
     source_actors: Sequence[SourceActor],
-    client_actors: Sequence[ClientActor],
+    client_actors: Sequence[object],
     restart: Optional[object] = None,
-    reader_actors: Sequence[ReadClientActor] = (),
 ) -> None:
     tasks = [asyncio.ensure_future(actor.run()) for actor in source_actors]
+    if tier.router is not None:
+        tasks.append(asyncio.ensure_future(tier.router.run()))
 
-    async def _supervise_warehouse() -> None:
-        # Each iteration is one warehouse incarnation.  A crash rebuilds
-        # the actor (synchronously — no messages are lost, they wait in
-        # the transport) and re-enters its run loop; a clean return means
-        # the transport closed.
+    async def _supervise(shard: int) -> None:
+        # Each iteration is one incarnation of this shard's warehouse.  A
+        # crash rebuilds the actor (synchronously — no messages are lost,
+        # they wait in the transport) and re-enters its run loop while
+        # every other actor keeps running; a clean return means the
+        # transport closed.
+        handle = tier.slots[shard].handle
         while True:
             try:
-                await warehouse.actor.run()
+                await handle.actor.run()
                 return
             except WarehouseCrashed as fault:
                 if restart is None:
                     raise
-                restart(fault)
+                restart(shard, fault)
 
-    warehouse_task = asyncio.ensure_future(_supervise_warehouse())
+    tasks += [asyncio.ensure_future(_supervise(shard)) for shard in tier.slots]
     client_tasks = [asyncio.ensure_future(actor.run()) for actor in client_actors]
-    client_tasks += [asyncio.ensure_future(actor.run()) for actor in reader_actors]
 
     try:
         # Clients perform a bounded number of reads; wait them out first.
         if client_tasks:
             await asyncio.gather(*client_tasks)
         # Then poll for global quiescence: workloads drained, channels
-        # empty, algorithm holding no deferred work.  Every poll iteration
-        # yields, letting all ready actors take a step.
+        # empty, every warehouse actor holding no deferred work.  Every
+        # poll iteration yields, letting all ready actors take a step.
         for _ in range(_MAX_POLLS):
             await asyncio.sleep(0)
-            if warehouse_task.done() or any(task.done() for task in tasks):
+            if any(task.done() for task in tasks):
                 break  # an actor died early; surface its exception below
             if (
                 all(actor.workload_done for actor in source_actors)
                 and transport.total_pending() == 0
-                and warehouse.is_quiescent()
+                and tier.facade.is_quiescent()
             ):
                 break
         else:
@@ -717,11 +903,12 @@ async def _drive(
             )
     finally:
         transport.close()
-        outcome = await asyncio.gather(
-            *tasks, warehouse_task, *client_tasks, return_exceptions=True
-        )
-        for result in outcome:
-            if isinstance(result, Exception) and not isinstance(
-                result, asyncio.CancelledError
-            ):
-                raise result
+        outcome = await asyncio.gather(*tasks, *client_tasks, return_exceptions=True)
+        errors = [result for result in outcome if isinstance(result, Exception)]
+        if errors:
+            # A dead warehouse closes the run under the other actors, who
+            # then fail on the closed transport: raise the root cause.
+            raise next(
+                (error for error in errors if not isinstance(error, TransportClosed)),
+                errors[0],
+            )

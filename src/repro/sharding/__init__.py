@@ -8,11 +8,14 @@ One warehouse catalog, split across N shard actors behind a router:
   catalogs plus the relation -> interested-shards map;
 - :mod:`repro.sharding.router` — the :class:`ShardRouter` actor fanning
   updates, translating query ids, and absorbing stale post-crash answers;
-- :mod:`repro.sharding.harness` — :func:`run_sharded`, reached through
-  ``run_concurrent(..., shards=N)``.
+- :mod:`repro.sharding.facade` — :class:`ShardedWarehouse`, the merged
+  view readers see.
+
+Runs go through ``run_concurrent(..., shards=N)``, whose sharded warehouse
+tier wires these pieces together.
 """
 
-from repro.sharding.harness import ShardedWarehouse, run_sharded
+from repro.sharding.facade import ShardedWarehouse
 from repro.sharding.partition import (
     ExplicitPartitioner,
     HashPartitioner,
@@ -40,6 +43,5 @@ __all__ = [
     "make_partitioner",
     "plan_shards",
     "router_request_channel",
-    "run_sharded",
     "shard_channel",
 ]

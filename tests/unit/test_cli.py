@@ -209,6 +209,26 @@ class TestShardedRuntimeCli:
         ]) == 2
         assert "cannot be partitioned" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--shards", "2", "--batch-k", "4"],
+            ["--shards", "2", "--wire-codec", "frame"],
+            ["--shards", "2", "--crash", "--crash-shard", "5"],
+            ["--shards", "0"],
+        ],
+    )
+    def test_rejected_option_combinations_exit_2_with_one_line(
+        self, flags, capsys
+    ):
+        assert main([
+            "runtime", "--sources", "2", "--updates", "2", "--clients", "0",
+            *flags,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+
     def test_sharded_prometheus_series_carry_the_shard_label(
         self, tmp_path, capsys
     ):
