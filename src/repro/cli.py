@@ -810,7 +810,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--snapshot-every",
         type=int,
         default=8,
-        help="compacting-snapshot cadence in WAL records",
+        help=(
+            "fewest WAL records between compacting snapshots; a snapshot "
+            "also waits until the log since the last one outweighs it"
+        ),
     )
     p.add_argument(
         "--crash",

@@ -135,8 +135,9 @@ class WriteAheadLog:
         The default flushes to the OS only, which is what the in-process
         crash injection needs.
     snapshot_every:
-        Take a compacting snapshot every N appended records (via
-        :meth:`maybe_snapshot`); ``None`` disables automatic snapshots.
+        The fewest appended records between automatic snapshots (via
+        :meth:`maybe_snapshot`, which also waits for the log to outweigh
+        the last snapshot); ``None`` disables automatic snapshots.
     keep_snapshots:
         Retain this many most-recent snapshots when pruning.
     obs:
@@ -171,6 +172,10 @@ class WriteAheadLog:
         self._path = os.path.join(directory, WAL_FILENAME)
         self._lsn = 0
         self._since_snapshot = 0
+        # Log bytes written since the last snapshot, and that snapshot's
+        # size: the log must outweigh it before the next one is taken.
+        self._log_bytes = 0
+        self._snapshot_bytes = 0
         self.appended = 0  # records written by this handle (for metrics)
         self.snapshots_taken = 0
         if os.path.exists(self._path):
@@ -181,9 +186,15 @@ class WriteAheadLog:
                 # Drop the torn tail now: appending after a partial line
                 # would weld the new record onto the damaged bytes.
                 self._rewrite(records)
+            # The log on disk counts toward the next snapshot.
+            self._since_snapshot = len(records)
+            self._log_bytes = os.path.getsize(self._path)
         lsns = _snapshot_lsns(directory)
         if lsns:
             self._lsn = max(self._lsn, lsns[-1])
+            self._snapshot_bytes = os.path.getsize(
+                os.path.join(directory, _snapshot_name(lsns[-1]))
+            )
         self._file = open(self._path, "a", encoding="utf-8")
 
     # ------------------------------------------------------------------ #
@@ -243,13 +254,15 @@ class WriteAheadLog:
     def append(self, record_type: str, data: object) -> int:
         """Append one record (``data`` is already-encoded tagged JSON)."""
         self._lsn += 1
-        line = _seal({"lsn": self._lsn, "type": record_type, "data": data})
-        self._file.write(line + "\n")
+        line = _seal({"lsn": self._lsn, "type": record_type, "data": data}) + "\n"
+        self._file.write(line)
         self._file.flush()
         if self.fsync:
             os.fsync(self._file.fileno())
         self.appended += 1
         self._since_snapshot += 1
+        # Canonical JSON is ASCII, so characters are bytes.
+        self._log_bytes += len(line)
         if self.obs is not None:
             self.obs.wal_append(record_type)
         return self._lsn
@@ -265,42 +278,51 @@ class WriteAheadLog:
     def snapshot(self, algorithm: WarehouseAlgorithm) -> int:
         """Snapshot the algorithm as of the current LSN, then compact.
 
-        The snapshot captures everything (view contents + pending state),
-        so every WAL record with ``lsn <= snapshot lsn`` becomes dead
-        weight: the log is rewritten without them and snapshots older
-        than ``keep_snapshots`` are pruned.
+        The snapshot captures everything (view contents + pending state)
+        as of the last LSN, so every record in the log becomes dead
+        weight: the log is emptied and snapshots older than
+        ``keep_snapshots`` are pruned.
         """
         lsn = self._lsn
-        body = _seal({"lsn": lsn, "algo": encode_algorithm(algorithm)})
+        body = _seal({"lsn": lsn, "algo": encode_algorithm(algorithm)}) + "\n"
         final = os.path.join(self.directory, _snapshot_name(lsn))
         temp = final + ".tmp"
         with open(temp, "w", encoding="utf-8") as handle:
-            handle.write(body + "\n")
+            handle.write(body)
             handle.flush()
             if self.fsync:
                 os.fsync(handle.fileno())
         self._replace(temp, final)
-        self._compact(lsn)
+        self._compact()
         self._prune_snapshots()
         self._since_snapshot = 0
+        self._log_bytes = 0
+        self._snapshot_bytes = len(body)
         self.snapshots_taken += 1
         if self.obs is not None:
             self.obs.wal_snapshot(lsn)
         return lsn
 
     def maybe_snapshot(self, algorithm: WarehouseAlgorithm) -> Optional[int]:
-        """Snapshot when ``snapshot_every`` appends have accumulated."""
+        """Snapshot once the log since the last snapshot outweighs it.
+
+        Both must hold: ``snapshot_every`` records have been appended,
+        and they take at least as many bytes as the last snapshot.  The
+        second bounds total snapshot bytes by total log bytes plus one
+        snapshot, however large the algorithm state grows.
+        """
         if self.snapshot_every is None:
             return None
         if self._since_snapshot < self.snapshot_every:
             return None
+        if self._log_bytes < self._snapshot_bytes:
+            return None
         return self.snapshot(algorithm)
 
-    def _compact(self, snapshot_lsn: int) -> None:
-        records, _ = read_records(self.directory)
-        live = [r for r in records if _lsn_of(r) > snapshot_lsn]
+    def _compact(self) -> None:
+        """Atomically empty the log: the snapshot just taken covers it all."""
         self._file.close()
-        self._rewrite(live)
+        self._rewrite([])
         self._file = open(self._path, "a", encoding="utf-8")
 
     def _rewrite(self, records: List[Dict[str, object]]) -> None:

@@ -503,7 +503,9 @@ def run_concurrent(
         Force ``os.fsync`` on every WAL append (real crash safety, real
         cost — see the durability benchmark).
     snapshot_every:
-        Compacting-snapshot cadence in WAL records (``None`` disables).
+        Fewest WAL records between compacting snapshots; a snapshot also
+        waits until the log since the last one outweighs it (``None``
+        disables automatic snapshots).
     crash:
         A :class:`~repro.durability.crash.CrashPolicy`.  Requires
         ``wal_dir``: when it fires, the warehouse actor dies mid-run and

@@ -212,6 +212,101 @@ class TestSnapshots:
             # The renamed files' own bytes are synced before each rename.
             assert synced == [False, True, False, True]
 
+    def test_maybe_snapshot_waits_for_the_log_to_outweigh_the_last_snapshot(
+        self, tmp_path
+    ):
+        _, algorithm = fresh_eca()
+        wal = WriteAheadLog(str(tmp_path), snapshot_every=2)
+        genesis = wal.snapshot(algorithm)
+        size = os.path.getsize(os.path.join(str(tmp_path), _snapshot_name(genesis)))
+        appended = 0
+        while True:
+            wal.append(EVENT, {"pad": "x" * 40})
+            appended += 1
+            log_bytes = os.path.getsize(wal_path(tmp_path))
+            taken = wal.maybe_snapshot(algorithm)
+            if appended < 2 or log_bytes < size:
+                assert taken is None
+            else:
+                assert taken == wal.last_lsn
+                break
+        # The byte threshold, not the record cadence, decided.
+        assert appended > 2
+        wal.close()
+
+    def test_reopened_wal_keeps_the_snapshot_size_threshold(self, tmp_path):
+        _, algorithm = fresh_eca()
+        wal = WriteAheadLog(str(tmp_path))
+        genesis = wal.snapshot(algorithm)
+        for _ in range(3):  # on disk before the reopen: they count too
+            wal.append(EVENT, {"pad": "x" * 40})
+        wal.close()
+        size = os.path.getsize(os.path.join(str(tmp_path), _snapshot_name(genesis)))
+        assert os.path.getsize(wal_path(tmp_path)) < size
+        wal = WriteAheadLog(str(tmp_path), snapshot_every=1)
+        while True:
+            wal.append(EVENT, {"pad": "x" * 40})
+            log_bytes = os.path.getsize(wal_path(tmp_path))
+            taken = wal.maybe_snapshot(algorithm)
+            if log_bytes < size:
+                assert taken is None
+            else:
+                assert taken == wal.last_lsn
+                break
+        wal.close()
+
+    def test_snapshot_bytes_are_bounded_by_log_bytes(self, tmp_path, monkeypatch):
+        """ECA-Key's in-flight state outgrows the log; snapshots must not."""
+        from repro.core.registry import create_algorithm
+        from repro.runtime import run_concurrent
+        from repro.warehouse.catalog import WarehouseCatalog
+        from repro.workloads.random_gen import random_workload
+
+        sources, algorithms, updates = {}, {}, []
+        for index in range(3):
+            prefix = f"s{index}"
+            schemas = [
+                RelationSchema(f"{prefix}r1", ("W", "X"), key=("W",)),
+                RelationSchema(f"{prefix}r2", ("X", "Y"), key=("Y",)),
+            ]
+            initial = {f"{prefix}r1": [(1, 2), (2, 3)], f"{prefix}r2": [(2, 5), (3, 6)]}
+            source = MemorySource(schemas, initial)
+            sources[prefix] = source
+            view = View.natural_join(f"V{index}", schemas, ["W", "Y"])
+            algorithms[f"V{index}"] = create_algorithm(
+                "eca-key", view, evaluate_view(view, source.snapshot())
+            )
+            updates.extend(
+                random_workload(
+                    schemas, 40, seed=index, initial=initial, respect_keys=True
+                )
+            )
+        log_bytes = []
+        snapshot_bytes = []
+        real_append = WriteAheadLog.append
+        real_snapshot = WriteAheadLog.snapshot
+
+        def counting_append(wal, record_type, data):
+            before = os.path.getsize(wal_path(wal.directory))
+            lsn = real_append(wal, record_type, data)
+            log_bytes.append(os.path.getsize(wal_path(wal.directory)) - before)
+            return lsn
+
+        def counting_snapshot(wal, algorithm):
+            lsn = real_snapshot(wal, algorithm)
+            path = os.path.join(wal.directory, _snapshot_name(lsn))
+            snapshot_bytes.append(os.path.getsize(path))
+            return lsn
+
+        monkeypatch.setattr(WriteAheadLog, "append", counting_append)
+        monkeypatch.setattr(WriteAheadLog, "snapshot", counting_snapshot)
+        catalog = WarehouseCatalog(algorithms, share_compensation=False)
+        run_concurrent(
+            sources, catalog, updates, clients=4, seed=0, wal_dir=str(tmp_path)
+        )
+        assert len(snapshot_bytes) > 1 and log_bytes
+        assert sum(snapshot_bytes) - snapshot_bytes[-1] <= sum(log_bytes)
+
     def test_parameter_validation(self, tmp_path):
         with pytest.raises(ValueError):
             WriteAheadLog(str(tmp_path), snapshot_every=0)
@@ -303,3 +398,46 @@ class TestRecoverFromWal:
         assert [req for _, req in result.reissue] == [
             req for _, req in algorithm.pending_requests()
         ]
+
+    def test_crash_between_snapshot_and_compaction_replays_only_newer_records(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.durability import encode_value
+
+        def recv(update, number):
+            notification = UpdateNotification(update, number)
+            wal.append(
+                RECV,
+                {
+                    "channel": "source->wh",
+                    "origin": "source",
+                    "message": encode_value(notification),
+                },
+            )
+            algorithm.handle_update(notification)
+
+        _, algorithm = fresh_eca()
+        wal = WriteAheadLog(str(tmp_path))
+        wal.snapshot(algorithm)  # genesis
+        recv(insert("r1", (7, 2)), 1)
+
+        def crash(*_):
+            raise OSError("killed before compaction")
+
+        monkeypatch.setattr(wal, "_compact", crash)
+        with pytest.raises(OSError):
+            wal.snapshot(algorithm)
+        wal.close()  # the dead process's lock is stale
+        # The snapshot landed; the log still holds the record it covers.
+        assert [r["lsn"] for r in read_records(str(tmp_path))[0]] == [1]
+        assert read_latest_snapshot(str(tmp_path))[0] == 1
+
+        wal = WriteAheadLog(str(tmp_path))
+        recv(insert("r2", (2, 9)), 2)
+        wal.close()
+        result = recover(str(tmp_path))
+        assert result.snapshot_lsn == 1
+        assert result.replayed == 1  # only LSN 2, past the snapshot
+        twin = result.algorithm
+        assert twin.view_state() == algorithm.view_state()
+        assert twin.pending_query_ids() == algorithm.pending_query_ids()
