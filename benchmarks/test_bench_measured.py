@@ -31,7 +31,7 @@ from repro.experiments.measured import (
     run_example6_once,
 )
 from repro.experiments.report import render_series
-from repro.relational.engine import evaluate_query, evaluate_query_scalar
+from repro.relational.engine import evaluate_query
 from repro.simulation.schedules import BestCaseSchedule, WorstCaseSchedule
 from repro.source.memory import MemorySource
 from repro.workloads.example6 import build_example6
@@ -121,14 +121,14 @@ def test_bench_measured_compensation_visible_in_query_complexity(benchmark, para
     assert best.messages == worst.messages == 18  # M = 2k regardless
 
 
-def test_bench_batched_engine_matches_scalar_oracle(benchmark, params):
+def test_bench_batched_engine_matches_reference_evaluator(benchmark, params):
     """The CI `bench-smoke` divergence gate (docs/PERFORMANCE.md).
 
     The columnar engine earns its speedup only if it computes exactly
-    what the retired row-at-a-time plan computed.  On the measured
-    workload's own data — Example 6 states before and after each
-    update, plus every substituted delta query — `evaluate_query` and
-    `evaluate_query_scalar` must agree bag-for-bag.
+    what the paper's semantics compute.  On the measured workload's own
+    data — Example 6 states before and after each update, plus every
+    substituted delta query — `evaluate_query` and the reference
+    row-at-a-time `Query.evaluate` must agree bag-for-bag.
     """
 
     def divergence_sweep():
@@ -143,15 +143,11 @@ def test_bench_batched_engine_matches_scalar_oracle(benchmark, params):
                     update.relation, update.signed_tuple()
                 )
                 for query in (view_query, delta):
-                    assert evaluate_query(query, state) == evaluate_query_scalar(
-                        query, state
-                    )
+                    assert evaluate_query(query, state) == query.evaluate(state)
                     checked += 1
                 source.apply_update(update)
             final = source.snapshot()
-            assert evaluate_query(view_query, final) == evaluate_query_scalar(
-                view_query, final
-            )
+            assert evaluate_query(view_query, final) == view_query.evaluate(final)
             checked += 1
         return checked
 

@@ -6,14 +6,15 @@ will be 'batched,' this extension should result in a very useful
 performance enhancement."  And Section 2 notes the algorithms apply to
 deferred and periodic maintenance timing "with little or no modification".
 
-Both live here, as one algorithm with two flush triggers:
+Both live here, as one :class:`~repro.core.eca.ECA` subclass with two
+flush triggers:
 
 - :class:`BatchECA` buffers incoming update notifications and, every
   ``batch_size`` updates, ships a *single* compensated query for the whole
-  batch: ``sum_j D(V<U_j>, rest-of-batch)`` (the Lemma B.2 backdating that
-  makes each per-update delta read as of its own source state), plus a
-  staged correction for every query that was in flight while buffered
-  updates arrived.
+  batch through ECA's own ``W_up`` body: ``sum_j D(V<U_j>, rest-of-batch)``
+  (the Lemma B.2 backdating that makes each per-update delta read as of
+  its own source state), plus a staged correction for every query that
+  was in flight while buffered updates arrived.
 - :class:`DeferredECA` flushes only when a warehouse client *reads* the
   view (a :class:`~repro.messaging.messages.RefreshRequest`; place
   :data:`repro.simulation.driver.REFRESH` markers in the workload) —
@@ -29,9 +30,15 @@ compensation is *deferred* to flush time, a contaminated query may already
 have been answered and left the UQS.  The algorithm therefore remembers,
 for every query sent, how many currently-buffered updates arrived while it
 was in flight (always a prefix of the buffer, by FIFO), and at flush time
-ships :func:`~repro.core.compensation.staged_compensation` for each —
-whether or not the query is still pending.  The view installs only when
-the UQS is empty and no such un-flushed contamination exists.
+hands those ``(query, seen)`` pairs to
+:func:`~repro.core.compensation.staged_compensation` — whether or not the
+query is still pending.  The view installs only when the UQS is empty and
+no such un-flushed contamination exists.
+
+Kernel batching (``batch_k``) is the other scheme: it coalesces updates
+already waiting in one inbox into a single event, so ECA answers them
+with one query.  BatchECA buffers *across* events, holding updates back
+until its flush trigger fires.
 
 Convergence for a finite run requires a final flush — end workloads with a
 ``REFRESH`` marker, pick a ``batch_size`` dividing the update count, or
@@ -42,16 +49,16 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.core.compensation import batch_delta_query, staged_compensation
+from repro.core.eca import ECA
 from repro.core.protocol import WarehouseAlgorithm
-from repro.messaging.messages import QueryAnswer, QueryRequest, UpdateNotification
+from repro.messaging.messages import QueryRequest, UpdateBatch, UpdateNotification
 from repro.relational.bag import SignedBag
 from repro.relational.expressions import Query
 from repro.relational.views import View
 from repro.source.updates import Update
 
 
-class BatchECA(WarehouseAlgorithm):
+class BatchECA(ECA):
     """ECA with warehouse-side update batching.
 
     Parameters
@@ -76,7 +83,6 @@ class BatchECA(WarehouseAlgorithm):
             raise ValueError(f"batch_size must be >= 1 or None, got {batch_size}")
         super().__init__(view, initial)
         self.batch_size = batch_size
-        self.collect = SignedBag()
         self._buffer: List[Update] = []
         #: query id -> full query expression, kept past retirement while
         #: un-flushed contamination refers to it.
@@ -86,7 +92,7 @@ class BatchECA(WarehouseAlgorithm):
         self._seen: Dict[int, int] = {}
 
     # ------------------------------------------------------------------ #
-    # W_up
+    # W_up: buffer, then flush through ECA's compensation
     # ------------------------------------------------------------------ #
 
     def handle_update(self, notification: UpdateNotification) -> List[QueryRequest]:
@@ -99,9 +105,16 @@ class BatchECA(WarehouseAlgorithm):
             return self.flush()
         return []
 
-    # ------------------------------------------------------------------ #
-    # Flush
-    # ------------------------------------------------------------------ #
+    def handle_update_batch(self, batch: UpdateBatch) -> List[QueryRequest]:
+        """Buffer a kernel-coalesced batch member by member.
+
+        The flush trigger and the seen counts then behave as for separate
+        events; ECA's one-query answer to the whole batch is not used.
+        """
+        return WarehouseAlgorithm.handle_update_batch(self, batch)
+
+    def handle_refresh(self) -> List[QueryRequest]:
+        return self.flush()
 
     def flush(self) -> List[QueryRequest]:
         """Ship one compensated query covering every buffered update."""
@@ -109,56 +122,31 @@ class BatchECA(WarehouseAlgorithm):
             return []
         batch = self._buffer
         self._buffer = []
-        query = batch_delta_query(self.view, batch)
-        for query_id, count in self._seen.items():
-            if count:
-                query = query + staged_compensation(
-                    self._sent[query_id], batch, count
-                )
+        # Every query sent while buffered updates arrived, answered or not.
+        in_flight = [
+            (self._sent[query_id], count)
+            for query_id, count in self._seen.items()
+            if count
+        ]
         self._seen.clear()
         # Expressions for already-answered queries are no longer needed.
         for query_id in list(self._sent):
             if query_id not in self.uqs:
                 del self._sent[query_id]
-        return self._dispatch(query)
+        return self._compensate(batch, in_flight)
 
-    def _dispatch(self, query: Query) -> List[QueryRequest]:
-        local = query.fully_bound_terms()
-        remote = query.source_terms()
-        if not local.is_empty():
-            self.collect.add_bag(local.evaluate({}))
-        if remote.is_empty():
-            self._maybe_install()
-            return []
-        request = self._make_request(remote)
-        self._sent[request.query_id] = remote
-        return [request]
-
-    # ------------------------------------------------------------------ #
-    # W_ans / refresh
-    # ------------------------------------------------------------------ #
-
-    def handle_answer(self, answer: QueryAnswer) -> List[QueryRequest]:
-        self._retire(answer)
-        self.collect.add_bag(answer.answer)
-        self._maybe_install()
-        return []
-
-    def handle_refresh(self) -> List[QueryRequest]:
-        return self.flush()
+    def _make_request(self, query: Query) -> QueryRequest:
+        request = super()._make_request(query)
+        self._sent[request.query_id] = query
+        return request
 
     def _maybe_install(self) -> None:
-        if self.uqs:
-            return
         if any(count for count in self._seen.values()):
             # Some already-received answer saw buffered updates whose
             # compensation has not shipped yet; installing now would
             # expose an invalid state.
             return
-        if self.collect.is_empty():
-            return
-        self.mv.apply_delta(self.collect)
-        self.collect = SignedBag()
+        super()._maybe_install()
 
     # ------------------------------------------------------------------ #
     # State
@@ -168,21 +156,15 @@ class BatchECA(WarehouseAlgorithm):
         return len(self._buffer)
 
     def is_quiescent(self) -> bool:
-        return not self.uqs and not self._buffer and self.collect.is_empty()
+        return super().is_quiescent() and not self._buffer
 
     def gauges(self) -> Dict[str, int]:
         out = super().gauges()
-        out["collect_tuples"] = self.collect.total_count()
         out["buffered_updates"] = len(self._buffer)
         return out
 
-    # ------------------------------------------------------------------ #
-    # Durability hooks
-    # ------------------------------------------------------------------ #
-
     def pending_state(self) -> Dict[str, Any]:
         state = super().pending_state()
-        state["collect"] = self.collect.copy()
         state["buffer"] = list(self._buffer)
         state["sent"] = dict(self._sent)
         state["seen"] = dict(self._seen)
@@ -190,7 +172,6 @@ class BatchECA(WarehouseAlgorithm):
 
     def restore_pending_state(self, state: Dict[str, Any]) -> None:
         super().restore_pending_state(state)
-        self.collect = state["collect"].copy()
         self._buffer = list(state["buffer"])
         self._sent = dict(state["sent"])
         self._seen = dict(state["seen"])

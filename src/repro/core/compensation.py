@@ -6,12 +6,15 @@ prefixes).  :func:`backdate` materializes that sum: a query expression
 that, evaluated on the state *after* ``updates`` have executed, yields the
 value the original query had *before* them.
 
-Three consumers:
+Consumers:
 
-- LCA backdates a queued update's query against updates already seen;
-- BatchECA backdates each batched update's delta against the rest of the
-  batch, and compensates pending queries against the whole batch;
-- DeferredECA is BatchECA with a read-triggered flush.
+- every ECA-family ``W_up`` (ECA, BatchECA, DeferredECA) ships one query,
+  :func:`batch_delta_query` over its updates plus one
+  :func:`staged_compensation` over the queries in flight: ECA for one
+  update or a kernel-coalesced batch, with every pending query having
+  seen all of it; BatchECA and DeferredECA at flush time, with each
+  query's own count of buffered updates it saw;
+- LCA backdates a queued update's query against updates already seen.
 
 Terms that end up fully bound vanish naturally on evaluation; callers
 split them off with :meth:`Query.fully_bound_terms` for local evaluation.
@@ -19,7 +22,7 @@ split them off with :meth:`Query.fully_bound_terms` for local evaluation.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.relational.expressions import Query, Term
 from repro.relational.views import View
@@ -56,48 +59,44 @@ def batch_delta_query(view: View, updates: Sequence[Update]) -> Query:
     terms: List[Term] = []
     for index, update in enumerate(relevant):
         base = view.substitute(update.relation, update.signed_tuple())
-        terms.extend(backdate(base, relevant[index + 1 :]).terms)
+        tail = relevant[index + 1 :]
+        terms.extend((backdate(base, tail) if tail else base).terms)
     return Query(terms)
 
 
-def pending_compensation(query: Query, updates: Sequence[Update]) -> Query:
-    """Offset the effect of ``updates`` on an in-flight query.
-
-    The pending query will be evaluated after all of ``updates`` (FIFO
-    deduction), but its answer is *meant* to read as of before them; the
-    correction to ship alongside is ``D(Q, updates) - Q``.
-    """
-    relevant = [u for u in updates if _touches(query, u)]
-    if not relevant:
-        return Query()
-    return backdate(query, relevant) - query
-
-
 def staged_compensation(
-    query: Query, batch: Sequence[Update], seen_count: int
+    in_flight: Iterable[Tuple[Query, int]], batch: Sequence[Update]
 ) -> Query:
-    """Correction for a query that saw the first ``seen_count`` of ``batch``.
+    """Correction for in-flight queries that saw a prefix of ``batch``.
 
-    The query's answer was (or will be) evaluated on the state after
-    ``batch[:seen_count]``; the correction, *itself evaluated after the
-    whole batch*, is
+    ``in_flight`` holds ``(query, seen)`` pairs: the query's answer was
+    (or will be) evaluated on the state after ``batch[:seen]``.  The
+    correction, *itself evaluated after the whole batch*, is
 
-        - sum over i < seen_count of D(Q<batch[i]>, batch[i+1:])
+        - sum over (Q, seen) of sum over i < seen of D(Q<batch[i]>, batch[i+1:])
 
     Each contaminating update's substituted query is backdated against the
     **entire rest of the batch** — including updates the query never saw —
     because the correction's own evaluation happens post-batch.  With
-    ``seen_count == len(batch)`` this is exactly
-    :func:`pending_compensation`'s ``D(Q, batch) - Q``.
+    ``seen == len(batch)`` a query's correction has the value
+    ``D(Q, batch) - Q``, without that spelling's zero-valued ``+Q ... -Q``
+    terms; for a one-update batch it is ECA's ``-Q<U>``, term for term.
     """
+    # Each update's relation, signed tuple and tail, derived once per batch
+    # rather than once per (query, update) pair.
+    steps = [
+        (update.relation, update.signed_tuple(), batch[index + 1 :])
+        for index, update in enumerate(batch)
+    ]
+    size = len(steps)
     terms: List[Term] = []
-    for index in range(min(seen_count, len(batch))):
-        update = batch[index]
-        if not _touches(query, update):
-            continue
-        substituted = query.substitute(update.relation, update.signed_tuple())
-        remaining = [u for u in batch[index + 1 :] if _touches(substituted, u)]
-        terms.extend(term.negate() for term in backdate(substituted, remaining).terms)
+    for query, seen in in_flight:
+        for relation, signed, tail in steps if seen >= size else steps[:seen]:
+            substituted = query.substitute(relation, signed)
+            if tail and substituted.terms:
+                remaining = [u for u in tail if _touches(substituted, u)]
+                substituted = backdate(substituted, remaining)
+            terms += map(Term.negate, substituted.terms)
     return Query(terms)
 
 

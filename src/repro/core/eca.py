@@ -21,9 +21,10 @@ into ``COLLECT``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from itertools import repeat
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.compensation import batch_delta_query, pending_compensation
+from repro.core.compensation import batch_delta_query, staged_compensation
 from repro.core.protocol import WarehouseAlgorithm
 from repro.messaging.messages import (
     QueryAnswer,
@@ -34,6 +35,7 @@ from repro.messaging.messages import (
 from repro.relational.bag import SignedBag
 from repro.relational.expressions import Query
 from repro.relational.views import View
+from repro.source.updates import Update
 
 
 class ECA(WarehouseAlgorithm):
@@ -70,32 +72,42 @@ class ECA(WarehouseAlgorithm):
     def handle_update(self, notification: UpdateNotification) -> List[QueryRequest]:
         if not self.relevant(notification):
             return []
-        update = notification.update
-        signed = update.signed_tuple()
-        terms = list(self.view.substitute(update.relation, signed).terms)
-        for pending in self.uqs_queries():
-            compensating = pending.substitute(update.relation, signed)
-            terms.extend(term.negate() for term in compensating.terms)
-        return self._dispatch(Query(terms))
+        return self._compensate([notification.update])
 
     def handle_update_batch(self, batch: UpdateBatch) -> List[QueryRequest]:
         """The k-update generalization: one ``Q<U1,...,Uk>`` per batch.
 
         The batch's own delta is ``sum_j D(V<U_j>, rest-of-batch)``
         (Lemma B.2 backdating, so each member's incremental query reads as
-        of its own source state), and every in-flight query gets one
-        compensation ``D(Q_j, batch) - Q_j`` covering all k members at
-        once — k round trips become one.
+        of its own source state), and every in-flight query, having seen
+        the whole batch, is compensated against all k members at once —
+        k round trips become one.
         """
         updates = [
             n.update for n in batch.notifications if self.relevant(n)
         ]
         if not updates:
             return []
-        terms = list(batch_delta_query(self.view, updates).terms)
-        for pending in self.uqs_queries():
-            terms.extend(pending_compensation(pending, updates).terms)
-        return self._dispatch(Query(terms))
+        return self._compensate(updates)
+
+    def _compensate(
+        self,
+        updates: List[Update],
+        in_flight: Optional[Iterable[Tuple[Query, int]]] = None,
+    ) -> List[QueryRequest]:
+        """Ship ``V<updates>`` less the updates' effect on in-flight queries.
+
+        ``in_flight`` holds ``(query, seen)`` pairs for
+        :func:`staged_compensation`; by default every UQS entry, each of
+        which (FIFO) will be evaluated after all of ``updates``.  For one
+        update this is the paper's ``V<U_i> - sum Q_j<U_i>``.
+        """
+        if in_flight is None:
+            in_flight = zip(self.uqs_queries(), repeat(len(updates)))
+        return self._dispatch(
+            batch_delta_query(self.view, updates)
+            + staged_compensation(in_flight, updates)
+        )
 
     def _dispatch(self, query: Query) -> List[QueryRequest]:
         """Evaluate fully-bound terms locally; ship the rest to the source."""

@@ -17,8 +17,8 @@ Since the columnar refactor the working set is a
 plus a signed count vector — and every join/filter/projection step runs
 through the vectorized operators in :mod:`repro.relational.batch_ops`
 (``map``/``compress`` passes, no per-tuple objects; lint rule RPR009).
-:func:`evaluate_term_scalar` preserves the previous row-at-a-time plan as
-the divergence check used by the CI ``bench-smoke`` job.
+The CI ``bench-smoke`` job checks it against the reference evaluator on
+the measured workload.
 
 Equivalence with the reference evaluator is property-tested
 (``tests/property/test_engine_equivalence.py`` and
@@ -29,7 +29,7 @@ affected (I/O costs are modeled separately, following Appendix D).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Tuple
+from typing import List, Mapping, Tuple
 
 from repro.errors import ExpressionError
 from repro.relational.bag import SignedBag
@@ -44,7 +44,6 @@ from repro.relational.conditions import (
 from repro.relational.expressions import Query, Term
 from repro.relational.schema import ProductSchema
 
-Row = Tuple[object, ...]
 State = Mapping[str, SignedBag]
 
 #: One join step of a term plan: the conjuncts to filter by once the step's
@@ -158,87 +157,11 @@ def evaluate_term(term: Term, state: State) -> SignedBag:
     return joined.gather_columns(term.shape.positions).to_bag(term.coefficient)
 
 
-def evaluate_term_scalar(term: Term, state: State) -> SignedBag:
-    """The pre-columnar row-at-a-time hash-join plan, kept as an oracle.
-
-    Same join/filter placement as :func:`evaluate_term`, executed one
-    candidate row at a time with bound row predicates.  The CI
-    ``bench-smoke`` job evaluates the measured workload through both
-    paths and fails on any divergence.
-    """
-    extents: List[List[Tuple[Row, int]]] = []
-    for operand in term.operands:
-        if operand.is_bound:
-            extents.append([(operand.tuple.values, operand.tuple.sign)])
-        else:
-            try:
-                bag = state[operand.source_relation]
-            except KeyError:
-                raise ExpressionError(
-                    f"state has no relation {operand.source_relation!r}"
-                ) from None
-            extents.append(list(bag.items()))
-
-    steps, _ = _term_plan(term)
-    predicates: List[List[Callable[[Row], bool]]] = [
-        [c.bind(term.product) for c in filters] for filters, _ in steps
-    ]
-
-    # Step 0: the first operand's extent, filtered.
-    joined: List[Tuple[Row, int]] = []
-    for row, count in extents[0]:
-        if all(p(row) for p in predicates[0]):
-            joined.append((row, count))
-
-    # Steps 1..n-1: hash join (or filtered cartesian) with each operand.
-    for step in range(1, len(term.operands)):
-        extent = extents[step]
-        _, keys = steps[step]
-        filters = predicates[step]
-        fresh: List[Tuple[Row, int]] = []
-        if keys:
-            buckets: Dict[Tuple[object, ...], List[Tuple[Row, int]]] = {}
-            local_positions = [local for _, local in keys]
-            for row, count in extent:
-                key = tuple(row[p] for p in local_positions)
-                buckets.setdefault(key, []).append((row, count))
-            prefix_positions = [prefix for prefix, _ in keys]
-            for prefix_row, prefix_count in joined:
-                key = tuple(prefix_row[p] for p in prefix_positions)
-                for row, count in buckets.get(key, ()):
-                    combined = prefix_row + row
-                    if all(p(combined) for p in filters):
-                        fresh.append((combined, prefix_count * count))
-        else:
-            for prefix_row, prefix_count in joined:
-                for row, count in extent:
-                    combined = prefix_row + row
-                    if all(p(combined) for p in filters):
-                        fresh.append((combined, prefix_count * count))
-        joined = fresh
-        if not joined:
-            break
-
-    positions = term.shape.positions
-    result = SignedBag()
-    for row, count in joined:
-        result.add(tuple(row[i] for i in positions), count * term.coefficient)
-    return result
-
-
 def evaluate_query(query: Query, state: State) -> SignedBag:
     """Sum of the optimized term evaluations."""
     result = SignedBag()
     for term in query.terms:
         result.add_bag(evaluate_term(term, state))
-    return result
-
-
-def evaluate_query_scalar(query: Query, state: State) -> SignedBag:
-    """Sum of the scalar-oracle term evaluations (divergence checks)."""
-    result = SignedBag()
-    for term in query.terms:
-        result.add_bag(evaluate_term_scalar(term, state))
     return result
 
 

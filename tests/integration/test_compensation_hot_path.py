@@ -12,7 +12,8 @@ each view's final contents, is pinned at ``batch_k=1`` and
 ``batch_k=4``.  If a change is *meant* to alter the shipped queries (a
 query normal form that cancels terms, say), recompute the digests with
 ``_digest`` and say why in the change log; otherwise a mismatch is a
-regression.
+regression.  At ``batch_k=8`` no shipped query may hold a term together
+with its negation, and none may outgrow the batch.
 
 **Shapes are resolved per view, not per term.**  Terms derived by
 substitution and negation share their parent's
@@ -52,7 +53,7 @@ UPDATES_PER_SOURCE = {1: 100, 4: 24}
 #: ``batch_k -> (requests shipped, sha256 of requests + final views)``.
 GOLDEN = {
     1: (300, "51bf2c5459d82a5f205813f3ffafebb2ea8c4bb4daea5397487aa727a5ed2ec2"),
-    4: (26, "bc25f49f9874ec42cf413a5a14875aff38430960a2adfdef079ef8627ac21d8e"),
+    4: (26, "7ebad23688dc5a46cc5a97e0667be2da9ea1743e56433161d50b1cd2440a5678"),
 }
 
 
@@ -87,19 +88,18 @@ def _fanout(updates_per_source):
     return sources, WarehouseCatalog(algorithms, share_compensation=False), updates
 
 
-def _digest(monkeypatch, batch_k):
-    """Run the seeded workload; return (requests shipped, digest)."""
+def _run(monkeypatch, updates_per_source, batch_k):
+    """Run the seeded workload; return its routed requests and catalog."""
     shipped = []
     original = actors.dispatch_event
 
     def recording(algorithm, origin, message, *args, **kwargs):
         result = original(algorithm, origin, message, *args, **kwargs)
-        for destination, request in result[2]:
-            shipped.append([destination, encode_value(request)])
+        shipped.extend(result[2])
         return result
 
     monkeypatch.setattr(actors, "dispatch_event", recording)
-    sources, catalog, updates = _fanout(UPDATES_PER_SOURCE[batch_k])
+    sources, catalog, updates = _fanout(updates_per_source)
     run_concurrent(
         sources,
         catalog,
@@ -109,17 +109,45 @@ def _digest(monkeypatch, batch_k):
         seed=SEED,
         record_trace=False,
     )
+    return shipped, catalog
+
+
+def _digest(monkeypatch, batch_k):
+    """Run the seeded workload; return (requests shipped, digest)."""
+    shipped, catalog = _run(monkeypatch, UPDATES_PER_SOURCE[batch_k], batch_k)
+    requests = [
+        [destination, encode_value(request)] for destination, request in shipped
+    ]
     views = {
         name: encode_value(algorithm.mv)
         for name, algorithm in sorted(catalog.algorithms.items())
     }
-    payload = json.dumps({"requests": shipped, "views": views}, sort_keys=True)
+    payload = json.dumps({"requests": requests, "views": views}, sort_keys=True)
     return len(shipped), hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("batch_k", sorted(GOLDEN))
 def test_shipped_queries_and_final_views_are_byte_identical(monkeypatch, batch_k):
     assert _digest(monkeypatch, batch_k) == GOLDEN[batch_k]
+
+
+def test_batched_queries_ship_no_cancelling_pairs(monkeypatch):
+    """At ``batch_k=8`` no shipped query holds a term and its negation.
+
+    Compensating an in-flight query ``P`` against a whole batch is
+    ``-sum_i D(P<U_i>, U_{i+1..k})``; spelling it ``D(P, batch) - P``
+    ships ``+P`` and ``-P`` side by side, and those pairs come back in
+    every later compensation.  Over two-relation views every compensating
+    term binds both relations and is evaluated at the warehouse, so a
+    shipped query holds at most the batch's own ``k`` delta terms.
+    """
+    batch_k = 8
+    shipped, _ = _run(monkeypatch, 24, batch_k)
+    assert shipped
+    for _destination, request in shipped:
+        terms = set(request.query.terms)
+        assert not any(term.negate() in terms for term in terms), request
+        assert len(request.query.terms) <= batch_k
 
 
 def test_product_schemas_scale_with_views_not_terms(monkeypatch):

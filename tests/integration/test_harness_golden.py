@@ -187,7 +187,7 @@ GOLDEN = {
         batched_framed,
         {
             "action_log": "2a66ef7765a81e0d162e0b458e82888b05fd4c3db6d9939b22f4a60f4ec233f2",
-            "channels": "002a78c048ee1155c80fcb62c2432b06e8163ad099e8d539804c9b7745daff71",
+            "channels": "eafc5d1f89ef9664bf9851446b133971a362a3aca3bee613c3d4d05ccb8a1f6f",
             "metrics": "6efa66d98e49531b0ca8695f0d400869441345e6999fb677190194001df3f44b",
             "final_view": "059c4c311d7b2d19796faafc98e27667a4235b9510608ee90c4ef1e197a8cca3",
             "crashes": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",

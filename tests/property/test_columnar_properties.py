@@ -8,9 +8,9 @@ Two contracts the columnar refactor must honor on *all* inputs:
    order and internal row layout may differ, but ``to_bag()`` may not.
 2. The columnar round trip is lossless: ``SignedBag.to_columns`` /
    ``SignedBag.from_columns`` compose to the identity, for any signed
-   bag, and the scalar engine oracle (`evaluate_term_scalar`) agrees
-   with the batched engine on whole queries (the same divergence check
-   the CI ``bench-smoke`` job runs on the measured workload).
+   bag, and the reference row-at-a-time evaluator (`Query.evaluate`)
+   agrees with the batched engine on whole queries (the same divergence
+   check the CI ``bench-smoke`` job runs on the measured workload).
 
 The batch-k=1 / identity-codec legacy-equivalence properties live at the
 bottom: a ``run_concurrent`` at ``batch_k=1`` and ``wire_codec=None``
@@ -34,7 +34,7 @@ from repro.relational.batch_ops import (
 )
 from repro.relational.columns import ColumnBatch
 from repro.relational.conditions import Attr, Comparison, Const
-from repro.relational.engine import evaluate_query, evaluate_query_scalar
+from repro.relational.engine import evaluate_query
 from repro.relational.schema import RelationSchema
 from repro.relational.views import View
 from repro.runtime.harness import run_concurrent
@@ -183,7 +183,7 @@ def test_batched_engine_agrees_with_scalar_oracle(state, with_condition):
     view = View.natural_join("V", SCHEMAS, ["W", "Z"], extra)
     bags = {name: SignedBag.from_rows(rows) for name, rows in state.items()}
     query = view.as_query()
-    assert evaluate_query(query, bags) == evaluate_query_scalar(query, bags)
+    assert evaluate_query(query, bags) == query.evaluate(bags)
 
 
 # --------------------------------------------------------------------- #

@@ -5,7 +5,6 @@ import pytest
 from repro.core.compensation import (
     backdate,
     batch_delta_query,
-    pending_compensation,
     staged_compensation,
 )
 from repro.relational.bag import SignedBag
@@ -92,6 +91,8 @@ class TestBatchDeltaQuery:
 
 
 class TestPendingCompensation:
+    """A query in flight across the whole batch (ECA's case: it saw all of it)."""
+
     def test_corrects_contaminated_answer(self, view_w, state):
         """A pending query evaluated post-batch, plus its compensation
         evaluated post-batch, equals the intended pre-batch answer."""
@@ -103,7 +104,7 @@ class TestPendingCompensation:
             - SignedBag.singleton((4, 2)),
             "r2": state["r2"],
         }
-        correction = pending_compensation(pending, batch)
+        correction = staged_compensation([(pending, len(batch))], batch)
         assert (
             pending.evaluate(post) + correction.evaluate(post)
             == pending.evaluate(state)
@@ -111,16 +112,39 @@ class TestPendingCompensation:
 
     def test_untouched_query_needs_no_compensation(self, view_w):
         pending = view_w.as_query()
-        assert pending_compensation(pending, [insert("zzz", (1,))]).is_empty()
+        batch = [insert("zzz", (1,))]
+        assert staged_compensation([(pending, len(batch))], batch).is_empty()
 
 
 class TestStagedCompensation:
-    def test_full_stage_equals_pending_compensation(self, view_w, state):
+    def test_full_stage_equals_backdate_minus_query(self, view_w, state):
+        """Lemma B.2: seen the whole batch, the correction is D(P, batch) - P."""
         pending = view_w.substitute("r2", insert("r2", (2, 3)).signed_tuple())
         batch = [insert("r1", (7, 2)), delete("r1", (4, 2))]
-        staged = staged_compensation(pending, batch, len(batch))
-        full = pending_compensation(pending, batch)
-        assert staged.evaluate(state) == full.evaluate(state)
+        post = {
+            "r1": state["r1"]
+            + SignedBag.singleton((7, 2))
+            - SignedBag.singleton((4, 2)),
+            "r2": state["r2"],
+        }
+        staged = staged_compensation([(pending, len(batch))], batch)
+        full = backdate(pending, batch) - pending
+        assert staged.evaluate(post) == full.evaluate(post)
+
+    def test_single_update_is_ecas_compensating_term(self, view_w):
+        """At k=1 the correction is exactly ECA's -P<U>, term for term."""
+        update = insert("r1", (7, 2))
+        pending = [
+            view_w.substitute("r2", insert("r2", (2, 3)).signed_tuple()),
+            view_w.as_query(),
+        ]
+        correction = staged_compensation([(p, 1) for p in pending], [update])
+        expected = Query(
+            term
+            for p in pending
+            for term in (-p.substitute(update.relation, update.signed_tuple())).terms
+        )
+        assert correction == expected
 
     def test_partial_stage_corrects_prefix_only(self, view_w, state):
         """Query saw only batch[0]; its correction, evaluated post-batch,
@@ -135,7 +159,7 @@ class TestStagedCompensation:
             "r1": mid["r1"] + SignedBag.singleton((9, 2)),
             "r2": state["r2"],
         }
-        correction = staged_compensation(pending, [u1, u2], 1)
+        correction = staged_compensation([(pending, 1)], [u1, u2])
         assert (
             pending.evaluate(mid) + correction.evaluate(post)
             == pending.evaluate(state)
@@ -143,4 +167,4 @@ class TestStagedCompensation:
 
     def test_zero_seen_is_empty(self, view_w):
         pending = view_w.as_query()
-        assert staged_compensation(pending, [insert("r1", (1, 2))], 0).is_empty()
+        assert staged_compensation([(pending, 0)], [insert("r1", (1, 2))]).is_empty()
