@@ -30,10 +30,11 @@ compensation is *deferred* to flush time, a contaminated query may already
 have been answered and left the UQS.  The algorithm therefore remembers,
 for every query sent, how many currently-buffered updates arrived while it
 was in flight (always a prefix of the buffer, by FIFO), and at flush time
-hands those ``(query, seen)`` pairs to
-:func:`~repro.core.compensation.staged_compensation` — whether or not the
-query is still pending.  The view installs only when the UQS is empty and
-no such un-flushed contamination exists.
+files those ``(query, seen)`` pairs in a
+:class:`~repro.core.compensation.PendingTerms` index for ECA's
+compensation — whether or not the query is still pending.  The view
+installs only when the UQS is empty and no such un-flushed contamination
+exists.
 
 Kernel batching (``batch_k``) is the other scheme: it coalesces updates
 already waiting in one inbox into a single event, so ECA answers them
@@ -42,13 +43,15 @@ until its flush trigger fires.
 
 Convergence for a finite run requires a final flush — end workloads with a
 ``REFRESH`` marker, pick a ``batch_size`` dividing the update count, or
-call :meth:`BatchECA.flush`.
+call :meth:`BatchECA.flush`.  :func:`repro.runtime.run_concurrent` sends
+that refresh itself once its workloads have drained.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from repro.core.compensation import PendingTerms
 from repro.core.eca import ECA
 from repro.core.protocol import WarehouseAlgorithm
 from repro.messaging.messages import QueryRequest, UpdateBatch, UpdateNotification
@@ -123,11 +126,11 @@ class BatchECA(ECA):
         batch = self._buffer
         self._buffer = []
         # Every query sent while buffered updates arrived, answered or not.
-        in_flight = [
+        in_flight = PendingTerms.of(
             (self._sent[query_id], count)
             for query_id, count in self._seen.items()
             if count
-        ]
+        )
         self._seen.clear()
         # Expressions for already-answered queries are no longer needed.
         for query_id in list(self._sent):

@@ -16,15 +16,18 @@ states (convergent but not consistent; see Section 5.2).
 Following Appendix D, terms of ``Q_i`` in which *every* relation is bound
 to a concrete tuple are not shipped to the source: they reference no base
 data, so the warehouse evaluates them locally and feeds the result straight
-into ``COLLECT``.
+into ``COLLECT``.  Most compensating terms are of that kind: ``Q_j<U_i>``
+binds the last free operand of every UQS term with one left.  ECA keeps
+its UQS filed in a :class:`~repro.core.compensation.PendingTerms` index,
+which joins ``U_i`` against those terms' bound tuples directly, so an
+update costs the pending terms it matches rather than the UQS depth.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from repro.core.compensation import batch_delta_query, staged_compensation
+from repro.core.compensation import PendingTerms, batch_delta_query
 from repro.core.protocol import WarehouseAlgorithm
 from repro.messaging.messages import (
     QueryAnswer,
@@ -64,6 +67,8 @@ class ECA(WarehouseAlgorithm):
         super().__init__(view, initial)
         self.collect = SignedBag()
         self.buffer_answers = buffer_answers
+        #: The UQS, filed for compensation (derived from ``uqs``).
+        self._pending_terms = PendingTerms()
 
     # ------------------------------------------------------------------ #
     # W_up
@@ -91,35 +96,46 @@ class ECA(WarehouseAlgorithm):
         return self._compensate(updates)
 
     def _compensate(
-        self,
-        updates: List[Update],
-        in_flight: Optional[Iterable[Tuple[Query, int]]] = None,
+        self, updates: List[Update], pending: Optional[PendingTerms] = None
     ) -> List[QueryRequest]:
         """Ship ``V<updates>`` less the updates' effect on in-flight queries.
 
-        ``in_flight`` holds ``(query, seen)`` pairs for
-        :func:`staged_compensation`; by default every UQS entry, each of
-        which (FIFO) will be evaluated after all of ``updates``.  For one
-        update this is the paper's ``V<U_i> - sum Q_j<U_i>``.
+        ``pending`` holds the in-flight queries with the count of
+        ``updates`` each saw; by default the UQS, each entry of which
+        (FIFO) will be evaluated after all of ``updates``.  For one update
+        this is the paper's ``V<U_i> - sum Q_j<U_i>``.
         """
-        if in_flight is None:
-            in_flight = zip(self.uqs_queries(), repeat(len(updates)))
-        return self._dispatch(
-            batch_delta_query(self.view, updates)
-            + staged_compensation(in_flight, updates)
-        )
+        if pending is None:
+            pending = self._pending_terms
+        local, correction = pending.compensate(updates)
+        return self._dispatch(batch_delta_query(self.view, updates) + correction, local)
 
-    def _dispatch(self, query: Query) -> List[QueryRequest]:
-        """Evaluate fully-bound terms locally; ship the rest to the source."""
-        local = query.fully_bound_terms()
-        remote = query.source_terms()
+    def _dispatch(self, query: Query, local: SignedBag) -> List[QueryRequest]:
+        """Evaluate fully-bound terms locally; ship the rest to the source.
+
+        ``local`` is the already-evaluated part of the compensation.
+        """
+        bound = query.fully_bound_terms()
+        if not bound.is_empty():
+            local.add_bag(bound.evaluate({}))
         if not local.is_empty():
-            self._absorb(local.evaluate({}))
+            self._absorb(local)
+        remote = query.source_terms()
         if remote.is_empty():
             # Nothing to ask the source; a flush may be due right now.
             self._maybe_install()
             return []
         return [self._make_request(remote)]
+
+    def _make_request(self, query: Query) -> QueryRequest:
+        request = super()._make_request(query)
+        self._pending_terms.add(request.query_id, query)
+        return request
+
+    def _retire(self, answer: QueryAnswer) -> Query:
+        query = super()._retire(answer)
+        self._pending_terms.discard(answer.query_id, query)
+        return query
 
     # ------------------------------------------------------------------ #
     # W_ans
@@ -174,6 +190,9 @@ class ECA(WarehouseAlgorithm):
     def restore_pending_state(self, state: Dict[str, Any]) -> None:
         super().restore_pending_state(state)
         self.collect = state["collect"].copy()
+        self._pending_terms = PendingTerms()
+        for query_id in sorted(self.uqs):
+            self._pending_terms.add(query_id, self.uqs[query_id])
 
     def durable_config(self) -> Dict[str, Any]:
         return {"buffer_answers": self.buffer_answers}

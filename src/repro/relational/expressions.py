@@ -111,6 +111,10 @@ class TermShape:
     row predicate and the engine's join plan are filled in on first use,
     because compensation builds many terms that are never evaluated, or
     are evaluated only through the columnar engine.
+
+    Shapes compare by operand schemas, projection and condition, so terms
+    decoded from a log, which resolve a shape each, still group with the
+    live terms of their view.
     """
 
     __slots__ = (
@@ -121,6 +125,7 @@ class TermShape:
         "occurrences",
         "plan",
         "_predicate",
+        "_hash",
     )
 
     def __init__(
@@ -150,12 +155,30 @@ class TermShape:
         #: The columnar engine's join plan (see ``repro.relational.engine``).
         self.plan: Optional[object] = None
         self._predicate: Optional[Callable[[Row], bool]] = None
+        self._hash: Optional[int] = None
 
     def predicate(self) -> Callable[[Row], bool]:
         """The condition bound to product-row positions."""
         if self._predicate is None:
             self._predicate = self.condition.bind(self.product)
         return self._predicate
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, TermShape):
+            return NotImplemented
+        return (
+            hash(self) == hash(other)
+            and self.product.schemas == other.product.schemas
+            and self.projection == other.projection
+            and self.condition == other.condition
+        )
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.product.schemas, self.projection, self.condition))
+        return self._hash
 
 
 class Term:

@@ -24,7 +24,11 @@ throughput metric and never feeds back into scheduling.
 Termination: the harness waits for every client to finish and every
 source workload to drain, then polls (at scheduling points) until all
 channels are empty and every warehouse actor is quiescent, and finally
-closes the transport, unwinding the actor tasks.
+closes the transport, unwinding the actor tasks.  A warehouse tier that
+holds deferred work with nothing left in flight to release it (BatchECA's
+partial buffer, DeferredECA once the clients' reads are over) gets a
+refresh from the harness's own client, :data:`DRAIN_CLIENT`, as a
+client's read would send; tiers that quiesce by themselves never see it.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from repro.durability.recovery import recover
 from repro.durability.wal import WriteAheadLog
 from repro.errors import SimulationError, TransportClosed, WarehouseCrashed
 from repro.kernel.dispatch import relation_owners
-from repro.messaging.messages import QueryRequest
+from repro.messaging.messages import QueryRequest, RefreshRequest
 from repro.messaging.wire import create_codec
 from repro.relational.bag import SignedBag
 from repro.runtime.actors import (
@@ -67,6 +71,10 @@ WorkloadArg = Union[Sequence[Update], Mapping[str, Sequence[Update]]]
 
 #: Safety valve for the quiescence poll loop.
 _MAX_POLLS = 1_000_000
+
+#: The harness's own warehouse client: once the workloads have drained and
+#: the transport is empty, it sends the refresh a stalled tier waits for.
+DRAIN_CLIENT = "harness"
 
 
 class _TraceRecorder:
@@ -594,6 +602,8 @@ def run_concurrent(
     total_updates = sum(len(w) for w in workloads.values())
     source_names = sorted(named_sources)
     client_names = [f"client-{i}" for i in range(clients)]
+    if DRAIN_CLIENT in named_sources:
+        raise SimulationError(f"source name {DRAIN_CLIENT!r} is reserved for the harness")
 
     codec = create_codec(wire_codec) if wire_codec is not None else None
     inner = InMemoryTransport(sizer=sizer, codec=codec)
@@ -604,16 +614,18 @@ def run_concurrent(
     if obs is not None:
         obs.attach_clock(transport.now)
 
+    # The tier also reads the drain client's inbox, which stays empty (and
+    # out of the channel statistics) unless the tier stalls.
     if shards is None:
         tier = _single_tier(
-            algorithm, owners, source_names + client_names, wal_dir, obs
+            algorithm, owners, source_names + client_names + [DRAIN_CLIENT], wal_dir, obs
         )
     else:
         tier = _sharded_tier(
             algorithm,
             owners,
             source_names,
-            client_names,
+            client_names + [DRAIN_CLIENT],
             wal_dir,
             obs,
             transport,
@@ -786,6 +798,7 @@ def run_concurrent(
                 tier,
                 source_actors,
                 client_actors + reader_actors,
+                recorder,
                 restart=_restart if crash_run is not None else None,
             )
         )
@@ -856,6 +869,7 @@ async def _drive(
     tier: _Tier,
     source_actors: Sequence[SourceActor],
     client_actors: Sequence[object],
+    recorder: _TraceRecorder,
     restart: Optional[object] = None,
 ) -> None:
     tasks = [asyncio.ensure_future(actor.run()) for actor in source_actors]
@@ -888,16 +902,24 @@ async def _drive(
         # Then poll for global quiescence: workloads drained, channels
         # empty, every warehouse actor holding no deferred work.  Every
         # poll iteration yields, letting all ready actors take a step.
+        drained = False
         for _ in range(_MAX_POLLS):
             await asyncio.sleep(0)
             if any(task.done() for task in tasks):
                 break  # an actor died early; surface its exception below
-            if (
-                all(actor.workload_done for actor in source_actors)
-                and transport.total_pending() == 0
-                and tier.facade.is_quiescent()
+            if transport.total_pending() or not all(
+                actor.workload_done for actor in source_actors
             ):
+                continue
+            if tier.facade.is_quiescent():
                 break
+            if not drained:
+                # Nothing in flight can release the tier's deferred work
+                # any more: ask for it once, the way a client's read would
+                # (a refresh flushes every view of every shard).
+                drained = True
+                await transport.send(warehouse_inbox(DRAIN_CLIENT), RefreshRequest(1))
+                recorder.record_refresh(DRAIN_CLIENT, 1)
         else:
             raise SimulationError(
                 f"runtime did not quiesce within {_MAX_POLLS} polls "

@@ -6,13 +6,18 @@ its promised message economics (2*ceil(k/batch_size) instead of 2k).
 
 import pytest
 
+from repro.cli import main
 from repro.consistency import check_trace
 from repro.core.batch import BatchECA, DeferredECA
 from repro.core.eca import ECA
 from repro.costmodel.counters import CostRecorder
+from repro.kernel import replay_concurrent
 from repro.relational.engine import evaluate_view
 from repro.relational.schema import RelationSchema
 from repro.relational.views import View
+from repro.runtime import FaultPlan, run_concurrent
+from repro.runtime.actors import warehouse_inbox
+from repro.runtime.harness import DRAIN_CLIENT
 from repro.simulation.driver import REFRESH, Simulation
 from repro.simulation.schedules import (
     BestCaseSchedule,
@@ -130,3 +135,60 @@ class TestDeferredECA:
         trace = Simulation(source, warehouse, workload).run(BestCaseSchedule())
         assert len(trace.events_of_kind("C_ref")) == 1
         assert len(trace.events_of_kind("W_ref")) == 1
+
+
+class TestRuntimeDrain:
+    """Runs whose last updates arrive after the last flush trigger still end.
+
+    BatchECA flushes on its size trigger or a client refresh, DeferredECA
+    on a refresh only.  With faults delaying updates past the clients'
+    reads, or with no clients at all, buffered updates would never ship
+    and the run would spin until its poll limit; the harness's own drain
+    refresh releases them, and the run ends at the algorithm's level.
+    """
+
+    @pytest.mark.parametrize("algorithm", ["batch-eca", "deferred-eca"])
+    @pytest.mark.parametrize("clients", ["0", "4"])
+    def test_faulty_runs_quiesce_strongly_consistent(self, capsys, algorithm, clients):
+        status = main(
+            [
+                "runtime",
+                "--sources", "1",
+                "--updates", "16",
+                "--seed", "4",
+                "--faults",
+                "--algorithm", algorithm,
+                "--clients", clients,
+                "--require-consistent",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert status == 0, out
+        assert "consistency:        strongly consistent" in out
+
+    def test_drained_deferred_view_reaches_the_final_state(self):
+        view, source, warehouse = build(DeferredECA)
+        workload = random_workload(SCHEMAS, 10, seed=3, initial=INITIAL)
+        result = run_concurrent(source, warehouse, workload, seed=4)
+        assert result.action_log.count(f"refresh:{DRAIN_CLIENT}") == 1
+        assert result.final_view == evaluate_view(view, result.trace.final_source_state)
+        assert check_trace(view, result.trace).strongly_consistent
+        # The drain is an ordinary client refresh to the synchronous kernel.
+        _, twin_source, twin = build(DeferredECA)
+        kernel = replay_concurrent(
+            result.action_log, {"source": twin_source}, twin, {"source": workload}
+        )
+        assert [(e.kind, e.detail) for e in kernel.trace.events] == [
+            (e.kind, e.detail) for e in result.trace.events
+        ]
+        assert kernel.trace.view_states == result.trace.view_states
+
+    def test_self_quiescing_runs_get_no_drain_refresh(self):
+        view, source, warehouse = build(ECA)
+        workload = random_workload(SCHEMAS, 10, seed=3, initial=INITIAL)
+        faults = FaultPlan(jitter=2.0, drop_rate=0.2)
+        result = run_concurrent(
+            source, warehouse, workload, clients=2, faults=faults, seed=4
+        )
+        assert f"refresh:{DRAIN_CLIENT}" not in result.action_log
+        assert warehouse_inbox(DRAIN_CLIENT) not in result.channel_stats
